@@ -18,26 +18,29 @@ __all__ = [
 ]
 
 
-class Counter:
-    """A named bundle of monotonically increasing integer counters."""
+class Counter(dict):
+    """A named bundle of monotonically increasing integer counters.
 
-    def __init__(self):
-        self._counts = {}
+    A ``dict`` whose missing names read as 0 without being inserted, so
+    hot paths bump a counter with ``counters[name] += 1``.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, name):
+        return 0
 
     def add(self, name, amount=1):
-        self._counts[name] = self._counts.get(name, 0) + amount
+        self[name] += amount
 
     def get(self, name, default=0):
-        return self._counts.get(name, default)
+        return dict.get(self, name, default)
 
     def as_dict(self):
-        return dict(self._counts)
-
-    def __getitem__(self, name):
-        return self.get(name)
+        return dict(self)
 
     def __repr__(self):
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self._counts.items()))
+        inner = ", ".join(f"{k}={v}" for k, v in sorted(self.items()))
         return f"Counter({inner})"
 
 

@@ -335,7 +335,7 @@ class TaggedTokenMachine:
     def _transmit(self, src_pe, token):
         bus = self._bus
         if token.pe == src_pe and self.config.local_loopback:
-            self.counters.add("tokens_local")
+            self.counters["tokens_local"] += 1
             if bus is not None and bus.enabled:
                 eid = self._trace_event(src_pe, "route", "local", local=True,
                                         parent=token.cause)
@@ -343,7 +343,7 @@ class TaggedTokenMachine:
                     object.__setattr__(token, "cause", eid)
             self.pes[src_pe].receive(token)
         else:
-            self.counters.add("tokens_network")
+            self.counters["tokens_network"] += 1
             cause = token.cause
             if bus is not None and bus.enabled:
                 eid = self._trace_event(src_pe, "route", f"->pe{token.pe}",

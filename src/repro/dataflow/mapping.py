@@ -18,23 +18,48 @@ def _mix(h, value):
     return (h * 1000003 ^ value) & 0xFFFFFFFF
 
 
+#: code-block name -> crc32 of its UTF-8 bytes.  A program names only a
+#: handful of code blocks, so this stays small, and it saves re-hashing
+#: the name at every context level of every key.
+_CODE_BLOCK_CRC = {}
+
+
+def _code_block_crc(code_block):
+    crc = _CODE_BLOCK_CRC.get(code_block)
+    if crc is None:
+        crc = _CODE_BLOCK_CRC[code_block] = zlib.crc32(
+            code_block.encode("utf-8"))
+    return crc
+
+
 def stable_tag_key(tag):
     """A deterministic 32-bit key for a tag (recursing through contexts).
 
     The key is a pure function of the tag's structure, so it is memoized
     on the tag itself (``Tag._map_key``) — with interned tags the mapping
     policy pays the chain walk once per distinct activity name instead of
-    once per routed token.
+    once per routed token.  Each level folds in the code block's crc32,
+    the statement and the iteration, leaf first (three ``_mix`` steps,
+    written out because this runs once per new tag).
     """
-    cached = getattr(tag, "_map_key", None)
+    try:
+        cached = tag._map_key
+    except AttributeError:  # a non-Tag stand-in without the cache slot
+        cached = None
     if cached is not None:
         return cached
+    crcs = _CODE_BLOCK_CRC
     h = 0x811C9DC5
     node = tag
     while node is not None:
-        h = _mix(h, zlib.crc32(node.code_block.encode("utf-8")))
-        h = _mix(h, node.statement)
-        h = _mix(h, node.iteration)
+        code_block = node.code_block
+        try:
+            crc = crcs[code_block]
+        except KeyError:
+            crc = _code_block_crc(code_block)
+        h = (h * 1000003 ^ crc) & 0xFFFFFFFF
+        h = (h * 1000003 ^ node.statement) & 0xFFFFFFFF
+        h = (h * 1000003 ^ node.iteration) & 0xFFFFFFFF
         node = node.context
     try:
         object.__setattr__(tag, "_map_key", h)
@@ -75,7 +100,7 @@ class ByContextMapping:
 
     def pe_of(self, tag):
         context_key = stable_tag_key(tag.context) if tag.context else 0
-        h = _mix(context_key, zlib.crc32(tag.code_block.encode("utf-8")))
+        h = _mix(context_key, _code_block_crc(tag.code_block))
         if self.spread_iterations:
             h = _mix(h, tag.iteration)
         return h % self.n_pes

@@ -47,6 +47,9 @@ from .token import Token, TokenKind
 __all__ = ["ProcessingElement", "AllocRequest",
            "WaitingMatchKind", "AluBatchKind"]
 
+#: Opcode -> name of its instruction-mix counter (``class_<class>``).
+_CLASS_COUNTER = {op: f"class_{cls.value}" for op, cls in OPCODE_CLASS.items()}
+
 
 class AllocRequest:
     """Payload of a d=2 token: allocate ``size`` cells, reply to ``replies``."""
@@ -117,9 +120,9 @@ class ProcessingElement:
     # ------------------------------------------------------------------
     def receive(self, token):
         """A token arrived at this PE (from the network or locally)."""
-        self.counters.add("tokens_received")
+        self.counters["tokens_received"] += 1
         if token.kind is TokenKind.NORMAL:
-            if token.needs_partner:
+            if token.nt >= 2:
                 service = self._wm_time
                 if (
                     self._wm_capacity is not None
@@ -128,7 +131,7 @@ class ProcessingElement:
                     # Finite associative memory: probes beyond capacity
                     # spill to the (slow) overflow store.
                     service += self._wm_penalty
-                    self.counters.add("wm_overflows")
+                    self.counters["wm_overflows"] += 1
                 self.waiting_matching.submit(token, self._match,
                                              service_time=service)
             else:
@@ -168,7 +171,7 @@ class ProcessingElement:
         now = self.sim._now
         if len(slot) == token.nt:
             del store[token.tag]
-            self.counters.add("matches")
+            self.counters["matches"] += 1
             waiting = self._waiting = self._waiting - (token.nt - 1)
             self.match_occupancy.update(now, waiting)
             cause = token.cause
@@ -187,7 +190,7 @@ class ProcessingElement:
                 self._match_causes.pop(token.tag, None)
             self.fetch.submit((token.tag, slot, cause), self._fetched)
         else:
-            self.counters.add("tokens_parked")
+            self.counters["tokens_parked"] += 1
             waiting = self._waiting = self._waiting + 1
             self.match_occupancy.update(now, waiting)
             if bus is not None and bus.enabled:
@@ -246,13 +249,13 @@ class ProcessingElement:
             # The enabled instruction is dropped before execution and
             # re-fired after backoff; no effects were emitted, so the
             # retry is exact.
-            self.counters.add("fault_refires")
+            self.counters["fault_refires"] += 1
             self.sim.post(
                 cycles, self._fetched, (tag, by_port, cause, attempt + 1)
             )
             return
         # Stall: the instruction occupies the ALU longer.
-        self.counters.add("fault_stalls")
+        self.counters["fault_stalls"] += 1
         self.alu.submit((entry[0], tag, by_port, cause), self._executed,
                         service_time=self._alu_time + cycles)
 
@@ -262,8 +265,8 @@ class ProcessingElement:
         operands = assemble_operands(instruction, by_port)
         effects = execute(machine.program, instruction, tag, operands)
         counters = self.counters
-        counters.add("instructions")
-        counters.add(f"class_{OPCODE_CLASS[instruction.opcode].value}")
+        counters["instructions"] += 1
+        counters[_CLASS_COUNTER[instruction.opcode]] += 1
         bus = machine._bus
         if bus is not None and bus.enabled:
             # dur = the ALU slice just finished; the Chrome exporter
@@ -325,8 +328,10 @@ class ProcessingElement:
     def _route(self, token):
         machine = self.machine
         if token.pe is None:
-            token = token.routed_to(machine.mapping.pe_of(token.tag))
-        self.counters.add("tokens_sent")
+            # The token was built for this output section and nothing
+            # else holds it yet, so its PE field is filled in place.
+            token.pe = machine.mapping.pe_of(token.tag)
+        self.counters["tokens_sent"] += 1
         machine._transmit(self.pe, token)
 
     # ------------------------------------------------------------------
@@ -489,9 +494,7 @@ class WaitingMatchKind(BatchKind):
         for j in range(width):
             fn = bucket[start + j][0]
             server = fn.__self__
-            server.utilization.end(now)
-            server._busy = False
-            server.items_served += 1
+            server._retire(now)
             token = tokens[j]
             on_done = dones[j]
             o = 0 if outcome is None else outcome[j]
@@ -500,11 +503,11 @@ class WaitingMatchKind(BatchKind):
             else:
                 pe = on_done.__self__
                 if o == 1:
-                    pe.counters.add("tokens_parked")
+                    pe.counters["tokens_parked"] += 1
                     waiting = pe._waiting = pe._waiting + 1
                     pe.match_occupancy.update(now, waiting)
                 else:
-                    pe.counters.add("matches")
+                    pe.counters["matches"] += 1
                     waiting = pe._waiting = pe._waiting - 1
                     pe.match_occupancy.update(now, waiting)
                     if pe._match_causes:
@@ -513,7 +516,7 @@ class WaitingMatchKind(BatchKind):
                     slot = {mate.port: mate.data, token.port: token.data}
                     pe.fetch.submit((token.tag, slot, token.cause),
                                     pe._fetched)
-            if not server._busy:
+            if not server._busy and server._queue:
                 server._start_next()
 
 
@@ -537,7 +540,7 @@ class AluBatchKind(BatchKind):
         #: opcode -> (ufunc, bool_result, "class_<x>" counter name)
         self._vec = {
             op: (_NP_BINARY[op.value], op in BATCH_BOOL_RESULT,
-                 f"class_{OPCODE_CLASS[op].value}")
+                 _CLASS_COUNTER[op])
             for op in BATCH_INT_BINARY
         } if np is not None else {}
 
@@ -582,9 +585,7 @@ class AluBatchKind(BatchKind):
         for j in range(width):
             fn, (work, on_done) = bucket[start + j]
             server = fn.__self__
-            server.utilization.end(now)
-            server._busy = False
-            server.items_served += 1
+            server._retire(now)
             value = values[j]
             if value is _MISS:
                 on_done(work)
@@ -592,10 +593,10 @@ class AluBatchKind(BatchKind):
                 instruction, tag, by_port, cause = work
                 pe = on_done.__self__
                 counters = pe.counters
-                counters.add("instructions")
-                counters.add(vec[instruction.opcode][2])
+                counters["instructions"] += 1
+                counters[vec[instruction.opcode][2]] += 1
                 emit = pe._emit
                 for effect in batched_effects(instruction, tag, value):
                     emit(effect, tag, cause)
-            if not server._busy:
+            if not server._busy and server._queue:
                 server._start_next()

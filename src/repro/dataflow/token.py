@@ -28,7 +28,8 @@ class TokenKind(enum.IntEnum):
 
 
 class Token:
-    """One token in flight.  Treated as immutable by all machine code."""
+    """One token in flight.  Treated as immutable once routed: the
+    output section fills in ``pe`` on the tokens it builds itself."""
 
     __slots__ = ("tag", "port", "data", "kind", "nt", "pe", "cause")
 

@@ -37,6 +37,11 @@ __all__ = [
 class Opcode(enum.Enum):
     """Every instruction the machine knows how to execute."""
 
+    # Members are singletons compared by identity, so identity hashing is
+    # consistent with equality; it keeps dict and set lookups keyed by an
+    # opcode in C instead of calling Enum.__hash__ (hash of the name).
+    __hash__ = object.__hash__
+
     # -- pure binary arithmetic ---------------------------------------
     ADD = "add"
     SUB = "sub"

@@ -10,6 +10,8 @@ callback; in the dataflow machine that callback injects the d=0 result
 token into the network back toward the requesting PE.
 """
 
+from collections import deque
+
 from ..common.stats import Counter, TimeWeighted, UtilizationTracker
 from .store import DEFERRED, IStructureModule
 
@@ -66,7 +68,7 @@ class IStructureController:
         self.write_cycles = write_cycles
         self.drain_cycles_per_deferred = drain_cycles_per_deferred
         self.module = module if module is not None else IStructureModule(name)
-        self._queue = []
+        self._queue = deque()
         self._busy = False
         self.counters = Counter()
         self.queue_depth = TimeWeighted()
@@ -89,17 +91,22 @@ class IStructureController:
 
     # ------------------------------------------------------------------
     def submit(self, request):
-        """Accept a read or write request (arrival of a d=1 token)."""
+        """Accept a read or write request (arrival of a d=1 token).
+
+        Queue depth counts requests *waiting*: one that an idle
+        controller starts at once never raises it.
+        """
         self._queue.append(request)
-        self.queue_depth.update(self.sim.now, len(self._queue))
-        self.counters.add("requests")
-        if not self._busy:
+        self.counters["requests"] += 1
+        if self._busy:
+            self.queue_depth.update(self.sim.now, len(self._queue))
+        else:
             self._start_next()
 
     def _start_next(self):
         if not self._queue:
             return
-        request = self._queue.pop(0)
+        request = self._queue.popleft()
         self.queue_depth.update(self.sim.now, len(self._queue))
         if isinstance(request, ReadRequest):
             service = self.read_cycles
@@ -263,7 +270,6 @@ class IStructureBatchKind:
             else:
                 codes[j] = 2
         waiting = Presence.WAITING
-        now = self.sim._now
         for j in range(width):
             controller = bucket[start + j][0].__self__
             request = requests[j]
@@ -295,6 +301,4 @@ class IStructureBatchKind:
             if extra > 0:
                 controller.sim.post(extra, controller._finish_drain)
             else:
-                controller.utilization.end(now)
-                controller._busy = False
-                controller._start_next()
+                controller._finish_drain()

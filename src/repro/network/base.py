@@ -80,11 +80,12 @@ class Network:
         payload; the injection event links to it and the packet carries
         the chain forward to delivery.
         """
-        self._check_port(src)
-        self._check_port(dst)
-        packet = Packet(src=src, dst=dst, payload=payload, size=size,
-                        injected_at=self.sim.now)
-        self.counters.add("injected")
+        n_ports = self.n_ports
+        if not (0 <= src < n_ports and 0 <= dst < n_ports):
+            self._check_port(src)
+            self._check_port(dst)
+        packet = Packet(src, dst, payload, size, self.sim.now)
+        self.counters["injected"] += 1
         bus = self._bus
         if bus is not None and bus.enabled:
             eid = bus.emit_id(self.sim.now, self._bus_source, "net_inject",
@@ -115,7 +116,7 @@ class Network:
             raise NetworkError(
                 f"{self.name}: no handler attached at port {packet.dst}"
             )
-        self.counters.add("delivered")
+        self.counters["delivered"] += 1
         latency = self.sim.now - packet.injected_at
         self.latency.observe(latency)
         self.hop_counts.observe(packet.hops)

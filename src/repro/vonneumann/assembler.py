@@ -15,6 +15,7 @@ Register operands are ``rN``; immediates are decimal integers; branch
 targets are labels.
 """
 
+import functools
 import re
 
 from ..common.errors import CompileError
@@ -44,7 +45,20 @@ _SIGNATURES = {
 
 
 def assemble(source):
-    """Assemble ``source`` text into a list of :class:`Instr`."""
+    """Assemble ``source`` text into a list of :class:`Instr`.
+
+    A sweep re-assembles the same program text for every cell that
+    shares it, so the result is memoized on the source text.  :class:`Instr` is frozen, so sharing the
+    instructions is safe; each call gets its own list.  A source that
+    fails raises :class:`CompileError` every time (errors are not cached).
+    """
+    return list(_assemble(source))
+
+
+# A sweep's repeats of one source come within a few cells of each other,
+# so a small bound keeps nearly every hit while holding few programs.
+@functools.lru_cache(maxsize=32)
+def _assemble(source):
     lines = source.splitlines()
     statements = []  # (line_no, op, operand_strings)
     labels = {}
@@ -108,7 +122,7 @@ def assemble(source):
             target = labels[label]
         instr = _build(op, regs, imm, target, label)
         program.append(instr)
-    return program
+    return tuple(program)
 
 
 def _build(op, regs, imm, target, label):

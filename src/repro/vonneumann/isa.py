@@ -24,6 +24,11 @@ __all__ = ["Op", "Instr", "MEMORY_OPS", "ALU_OPS", "BRANCH_OPS"]
 class Op(enum.Enum):
     """Every operation the processors execute."""
 
+    # Members are singletons compared by identity, so identity hashing is
+    # consistent with equality; it keeps dict and set lookups keyed by an
+    # opcode in C instead of calling Enum.__hash__ (hash of the name).
+    __hash__ = object.__hash__
+
     # register / ALU
     MOVI = "movi"  # rd <- imm
     MOV = "mov"  # rd <- ra

@@ -329,9 +329,7 @@ class BankServeKind:
         for j in range(start, end):
             fn, ((request, on_done), serve) = bucket[j]
             server = fn.__self__
-            server.utilization.end(now)
-            server._busy = False
-            server.items_served += 1
+            server._retire(now)
             module = serve.__self__
             op = request.op
             address = request.address
@@ -369,5 +367,5 @@ class BankServeKind:
             else:
                 raise MachineError(f"{module.name}: not a memory op: {op}")
             on_done(response)
-            if not server._busy:
+            if not server._busy and server._queue:
                 server._start_next()
