@@ -53,6 +53,20 @@ def _parse_value(text):
     return text
 
 
+def _non_negative(cast):
+    """An argparse ``type`` that parses with ``cast`` and rejects values
+    below zero (``0`` keeps its "inline" / "no deadline" meaning)."""
+    def parse(text):
+        value = cast(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(
+                f"must be >= 0, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid" errors
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -156,14 +170,16 @@ def build_parser():
     bench.add_argument("--only", default=None, metavar="SUBSTRING",
                        help="run only experiments whose module or table "
                             "name contains SUBSTRING")
-    bench.add_argument("--jobs", type=int, default=None, metavar="N",
+    bench.add_argument("--jobs", type=_non_negative(int), default=None,
+                       metavar="N",
                        help="worker processes (default: cpu count; "
                             "0 = inline)")
     bench.add_argument("--no-cache", action="store_true",
                        help="ignore and do not update the result cache")
-    bench.add_argument("--timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="per-run timeout before terminate + one retry")
+    bench.add_argument("--timeout", type=_non_negative(float),
+                       default=None, metavar="SECONDS",
+                       help="per-run timeout before terminate + one retry "
+                            "(0 = none)")
     bench.add_argument("--bench-dir", default=None, metavar="DIR",
                        help="benchmarks directory (default: auto-detect)")
     bench.add_argument("--trace", metavar="FILE", default=None,

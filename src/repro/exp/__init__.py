@@ -6,9 +6,10 @@ of a parallelism paper being itself embarrassingly sequential:
 
 * :class:`Experiment` — a parameter grid plus a pure
   ``run(config) -> value`` function (:mod:`repro.exp.experiment`);
-* :func:`run_experiment` — fans the grid out across ``multiprocessing``
-  workers with a per-run timeout, one retry, and structured failure rows
-  instead of crashed sweeps (:mod:`repro.exp.engine`);
+* :func:`run_experiment` — fans the grid out across a per-sweep pool of
+  persistent ``multiprocessing`` workers with a per-run timeout, one
+  retry, and structured failure rows instead of crashed sweeps
+  (:mod:`repro.exp.engine`);
 * :class:`ResultCache` — disk cache keyed by a content hash of
   (experiment, config, code-version) so re-runs are incremental
   (:mod:`repro.exp.cache`);

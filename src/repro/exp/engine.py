@@ -1,11 +1,24 @@
-"""The sweep executor: fan a grid out across worker processes.
+"""The sweep executor: fan a grid out across a pool of worker processes.
 
-One worker process per run (not a long-lived pool) so that a per-run
-timeout can be *enforced* — the scheduler terminates the process, retries
-once, and records a structured failure row instead of crashing or
-hanging the sweep.  Up to ``jobs`` workers are live at once; finished
-slots are refilled immediately, so the wall clock approaches
-``serial_time / jobs`` for uniform grids.
+Each sweep forks a pool of at most ``min(jobs, pending cells)``
+persistent workers.  A worker inherits the :class:`Experiment` through
+fork and serves grid indices over a duplex pipe until the parent tells
+it to stop, so per-process warm state (lazy imports, compiled programs,
+memo tables) is paid once per worker rather than once per cell — the
+same sharing every cell gets under ``jobs=0``.  Idle workers take the
+next cell at once, so the wall clock approaches ``serial_time / jobs``
+for uniform grids.  No worker outlives :func:`run_experiment`.
+
+Per-run timeouts are still *enforced*: the deadline starts when a cell
+is dispatched, and the worker reports a ``begin`` handshake as it enters
+the run function.  A cell dispatched but not yet begun is in the
+``startup`` phase (which includes the fork only for a worker's first
+cell); after ``begin`` it is in ``run``.  An expired worker is
+terminated and replaced, the cell retried, and a timeout row records the
+phase it died in (``RunRecord.timeout_phase``).  An exception in a cell
+becomes an ``error`` row and the worker stays alive; a ``fatal`` outcome
+(:data:`FATAL_EXCEPTIONS`) or a worker death retires the process and a
+fresh one serves the remaining cells.
 
 Determinism contract: records are returned in grid order, and a run's
 value depends only on its config (the :class:`Experiment` purity rule),
@@ -14,15 +27,9 @@ so ``--jobs 1`` and ``--jobs 4`` produce identical values —
 
 With a :class:`~repro.exp.cache.ResultCache` attached, each config is
 looked up by content hash of (experiment, config, code-version) first;
-hits never spawn a worker.  Progress streams through a
+hits never reach a worker.  Progress streams through a
 :class:`repro.obs.TraceBus` as ``sweep_begin`` / ``sweep_task`` /
 ``sweep_end`` events.
-
-The timeout clock starts *before* the worker process is spawned and the
-worker reports a ``begin`` handshake when it is about to enter the run
-function, so interpreter startup and module import time count against
-the budget too; a run that times out records which phase it died in
-(``RunRecord.timeout_phase``: ``"startup"`` or ``"run"``).
 
 The retry-aware work list lives in :class:`TaskQueue` so the long-lived
 sweep service (:mod:`repro.serve.scheduler`) schedules from the same
@@ -57,8 +64,9 @@ FATAL_EXCEPTIONS = (KeyboardInterrupt, SystemExit, MemoryError)
 DEFAULT_RETRIES = 1
 
 #: The lifecycle phases a worker attempt moves through.  ``startup``
-#: covers process spawn + interpreter/module import, ``run`` is the run
-#: function itself; a timeout records the phase it struck.
+#: runs from dispatch to the worker's ``begin`` handshake (including the
+#: fork for a worker's first cell), ``run`` is the run function itself;
+#: a timeout records the phase it struck.
 PHASES = ("startup", "run")
 
 
@@ -195,91 +203,123 @@ def experiment_code_version(experiment):
     return version
 
 
-def _worker_main(conn, run, config):
-    """Child-process body: run one config, ship the outcome back.
+def cell_failure(body, *args):
+    """Call ``body(*args)`` as one cell attempt inside a worker process.
 
-    The ``begin`` handshake marks the startup→run phase transition so
-    the parent can attribute a timeout to interpreter/import startup
-    versus the run function itself.
+    Returns ``None`` when it returns, else ``(status, traceback)``:
+    ``fatal`` for :data:`FATAL_EXCEPTIONS` (recorded, never retried, and
+    the worker must exit), ``error`` for anything else.  The batch
+    engine's pool and the sweep service's pool
+    (:func:`repro.serve.protocol.pool_worker_main`) share this rule.
+    """
+    try:
+        body(*args)
+        return None
+    except FATAL_EXCEPTIONS:
+        return "fatal", traceback.format_exc()
+    except BaseException:  # noqa: BLE001 — parent turns this into a row
+        return "error", traceback.format_exc()
+
+
+def _serve_cell(conn, run, config):
+    # The ``begin`` handshake marks the startup→run phase transition so
+    # the parent can attribute a timeout to worker startup versus the
+    # run function itself.
+    conn.send(("begin", None, None))
+    conn.send(("ok", run(config), None))
+
+
+def _worker_main(conn, run, grid):
+    """Pool-process body: run the grid indices the parent sends, one at
+    a time, until it sends ``None`` or the pipe closes.
+
+    Anything a cell leaves in this process (imports, memo tables) is
+    warm for the next cell, exactly as in the inline path.  A ``fatal``
+    outcome ends the loop so the process does not pick up more work.
     """
     import sys
 
     try:
-        try:
-            conn.send(("begin", None, None))
-            value = run(config)
-            conn.send(("ok", value, None))
-            return
-        except FATAL_EXCEPTIONS:
-            # Operator interrupts and resource exhaustion are not
-            # ordinary run failures: ship them as ``fatal`` so the
-            # parent records the traceback without burning retries
-            # re-raising the same condition.
-            status, failure = "fatal", traceback.format_exc()
-        except BaseException:  # noqa: BLE001 — parent turns this into a row
-            status, failure = "error", traceback.format_exc()
-        try:
-            conn.send((status, None, failure))
-        except (OSError, ValueError):
-            # The pipe is gone (parent died / timed us out) or closed —
-            # nothing structured can be shipped, but don't silently eat
-            # the diagnostic: the parent records "worker exited without a
-            # result", so leave the traceback on stderr to pair with it.
-            print(failure, file=sys.stderr)
+        while True:
+            try:
+                index = conn.recv()
+            except (EOFError, OSError):
+                return
+            if index is None:
+                return
+            failure = cell_failure(_serve_cell, conn, run, grid[index])
+            if failure is None:
+                continue
+            status, trace = failure
+            try:
+                conn.send((status, None, trace))
+            except (OSError, ValueError):
+                # The pipe is gone (parent died / timed us out) or closed
+                # — nothing structured can be shipped, but don't silently
+                # eat the diagnostic: the parent records "worker exited
+                # without a result", so leave the traceback on stderr.
+                print(trace, file=sys.stderr)
+                return
+            if status == "fatal":
+                return
     finally:
         conn.close()
 
 
-@dataclass
-class _Task:
-    """One live worker and the run it owns."""
+class _Worker:
+    """One pool process and the cell it is serving (``None`` when idle)."""
 
-    index: int
-    attempt: int
-    process: Any
-    conn: Any
-    started: float
-    deadline: Optional[float] = None
-    cache_key: Optional[str] = None
-    phase: str = "startup"
+    __slots__ = ("process", "conn", "cell", "started", "deadline", "phase")
+
+    def __init__(self, process, conn):
+        self.process = process
+        self.conn = conn
+        self.cell = None
+
+    def dispatch(self, cell, started, timeout):
+        """Hand ``(index, attempt, key)`` over; the clock runs from
+        ``started``."""
+        self.cell = cell
+        self.started = started
+        self.deadline = (started + timeout) if timeout else None
+        self.phase = "startup"
+        _send(self.conn, cell[0])
+
+    def retire(self, kill=False):
+        """Join the process (terminating it first if ``kill``) and close
+        its pipe."""
+        if kill:
+            self.process.terminate()
+        self.process.join()
+        self.conn.close()
 
 
-def _spawn(context, experiment, index, attempt, timeout):
-    parent_conn, child_conn = context.Pipe(duplex=False)
+def _fork_worker(context, experiment, serial):
+    parent_conn, child_conn = context.Pipe()
     process = context.Process(
         target=_worker_main,
-        args=(child_conn, experiment.run, experiment.grid[index]),
-        name=f"sweep-{experiment.name}-{index}",
+        args=(child_conn, experiment.run, experiment.grid),
+        name=f"sweep-{experiment.name}-{serial}",
         daemon=True,
     )
-    # The clock starts before the fork/exec so spawn + import time is
-    # charged against the same per-run budget as the run itself.
-    now = time.monotonic()
     process.start()
     child_conn.close()
-    return _Task(
-        index=index, attempt=attempt, process=process, conn=parent_conn,
-        started=now, deadline=(now + timeout) if timeout else None,
-    )
+    return _Worker(process, parent_conn)
 
 
-def _recv(task):
-    """One message off the worker pipe, or None on EOF/breakage."""
+def _send(conn, message):
     try:
-        return task.conn.recv()
+        conn.send(message)
+    except OSError:
+        pass  # a dead worker shows up as EOF on its next wait
+
+
+def _recv(conn):
+    """One message off a worker pipe, or None on EOF/breakage."""
+    try:
+        return conn.recv()
     except (EOFError, OSError):
         return None
-
-
-def _reap(task, message):
-    """Close and join a finished worker; diagnose a silent death."""
-    task.conn.close()
-    task.process.join()
-    if message is None:
-        code = task.process.exitcode
-        message = ("error", None,
-                   f"worker exited without a result (exit code {code})")
-    return message
 
 
 def _emit(bus, clock_start, kind, detail="", **fields):
@@ -293,11 +333,14 @@ def run_experiment(experiment, jobs=None, cache=None, timeout=None,
     """Execute every config in ``experiment.grid``; returns RunRecords
     in grid order.
 
-    ``jobs``: worker processes (default ``os.cpu_count()``); ``0`` runs
-    the grid inline in this process (no isolation, no timeout — the
-    debugging path).  ``timeout``: seconds per attempt (spawn + import
-    + run); an expired worker is terminated and the run retried up to
-    ``retries`` more times before a ``timeout`` record is written.
+    ``jobs``: most worker processes alive at once (default
+    ``os.cpu_count()``); ``0`` runs the grid inline in this process (no
+    isolation, no timeout — the debugging path).  ``timeout``: seconds
+    per attempt from dispatch (including the fork for a worker's first
+    cell); ``0`` or ``None`` sets no deadline.  An expired worker is
+    terminated and replaced, and the run retried up to ``retries`` more
+    times before a ``timeout`` record is written.  Negative ``jobs`` or
+    ``timeout`` raise :class:`ValueError`.
     ``cache``: any content-addressed store with the
     :class:`~repro.exp.cache.ResultCache` ``get``/``put`` interface;
     hits skip execution entirely.  ``bus``: a :class:`repro.obs.TraceBus`
@@ -306,12 +349,17 @@ def run_experiment(experiment, jobs=None, cache=None, timeout=None,
     """
     if jobs is None:
         jobs = os.cpu_count() or 1
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    if timeout is not None and timeout < 0:
+        raise ValueError(f"timeout must be >= 0, got {timeout}")
     clock_start = time.monotonic()
     code_version = (experiment_code_version(experiment)
                     if cache is not None else None)
 
     records = {}
     pending = TaskQueue()
+    forked = 0  # worker processes started for this sweep
     _emit(bus, clock_start, "sweep_begin", experiment.name,
           configs=len(experiment.grid), jobs=jobs)
 
@@ -384,63 +432,90 @@ def run_experiment(experiment, jobs=None, cache=None, timeout=None,
             if retry is not None:
                 pending.push(retry, front=True)
     else:
+        # Fork where available: workers inherit the experiment and the
+        # parent's imports instead of re-importing them.
         context = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else "spawn")
-        running = []
-        while pending or running:
-            while pending and len(running) < jobs:
-                index, attempt, key = pending.pop()
-                task = _spawn(context, experiment, index, attempt, timeout)
-                task.cache_key = key
-                running.append(task)
+        pool = []  # live workers, idle ones have ``cell is None``
+        try:
+            while True:
+                while pending:
+                    worker = next((w for w in pool if w.cell is None), None)
+                    # The clock starts before a fork, so a fresh worker's
+                    # start-up is charged to its first cell's budget.
+                    started = time.monotonic()
+                    if worker is None:
+                        if len(pool) >= jobs:
+                            break
+                        worker = _fork_worker(context, experiment, forked)
+                        forked += 1
+                        pool.append(worker)
+                    worker.dispatch(pending.pop(), started, timeout)
+                busy = [w for w in pool if w.cell is not None]
+                if not busy:
+                    break
 
-            now = time.monotonic()
-            deadlines = [t.deadline for t in running if t.deadline]
-            wait_for = min(deadlines) - now if deadlines else None
-            ready = _wait_connections(
-                [t.conn for t in running],
-                timeout=max(0.0, wait_for) if wait_for is not None else None,
-            )
+                now = time.monotonic()
+                deadlines = [w.deadline for w in busy if w.deadline]
+                wait_for = min(deadlines) - now if deadlines else None
+                ready = _wait_connections(
+                    [w.conn for w in busy],
+                    timeout=(max(0.0, wait_for) if wait_for is not None
+                             else None),
+                )
 
-            now = time.monotonic()
-            still_running = []
-            for task in running:
-                if task.conn in ready:
-                    message = _recv(task)
-                    if message is not None and message[0] == "begin":
-                        # Startup handshake: the worker entered its run
-                        # function — not a completion, keep waiting.
-                        task.phase = "run"
-                        still_running.append(task)
+                now = time.monotonic()
+                for worker in busy:
+                    cell, phase = worker.cell, None
+                    if worker.conn in ready:
+                        message = _recv(worker.conn)
+                        if message is not None and message[0] == "begin":
+                            # Startup handshake: the worker entered its
+                            # run function — not a completion, keep waiting.
+                            worker.phase = "run"
+                            continue
+                        if message is None or message[0] == "fatal":
+                            # The process died (EOF) or is exiting after a
+                            # fatal row: reap it, a fresh one takes over.
+                            pool.remove(worker)
+                            worker.retire()
+                        else:
+                            worker.cell = None  # idle again
+                        if message is None:
+                            code = worker.process.exitcode
+                            message = ("error", None,
+                                       f"worker exited without a result "
+                                       f"(exit code {code})")
+                    elif worker.deadline and now >= worker.deadline:
+                        phase = worker.phase
+                        pool.remove(worker)
+                        worker.retire(kill=True)
+                        message = ("timeout", None,
+                                   f"run exceeded {timeout}s (in {phase} "
+                                   f"phase) and was terminated")
+                    else:
                         continue
-                    message = _reap(task, message)
-                    retry = record_outcome(task.index, task.attempt,
-                                           task.cache_key, message,
-                                           now - task.started)
+                    index, attempt, key = cell
+                    retry = record_outcome(index, attempt, key, message,
+                                           now - worker.started, phase=phase)
                     if retry is not None:
                         pending.push(retry)
-                elif task.deadline is not None and now >= task.deadline:
-                    task.process.terminate()
-                    task.process.join()
-                    task.conn.close()
-                    message = ("timeout", None,
-                               f"run exceeded {timeout}s (in {task.phase} "
-                               f"phase) and was terminated")
-                    retry = record_outcome(task.index, task.attempt,
-                                           task.cache_key, message,
-                                           now - task.started,
-                                           phase=task.phase)
-                    if retry is not None:
-                        pending.push(retry)
-                else:
-                    still_running.append(task)
-            running = still_running
+            for worker in pool:
+                _send(worker.conn, None)  # stop
+            while pool:
+                pool.pop().retire()
+        finally:
+            # Reached with workers left only when something raised: no
+            # worker outlives the sweep.
+            while pool:
+                pool.pop().retire(kill=True)
 
     ordered = [records[index] for index in sorted(records)]
     _emit(bus, clock_start, "sweep_end", experiment.name,
           ok=sum(1 for r in ordered if r.ok),
           failed=sum(1 for r in ordered if not r.ok),
           cached=sum(1 for r in ordered if r.cached),
+          workers=forked,
           wall=round(time.monotonic() - clock_start, 4))
     return ordered

@@ -57,7 +57,8 @@ KINDS = (
     "sweep_begin", # a parameter sweep started (fields: configs, jobs)
     "sweep_task",  # one grid point finished (fields: index, status,
                    # attempts, cached, wall)
-    "sweep_end",   # sweep finished (fields: ok, failed, cached, wall)
+    "sweep_end",   # sweep finished (fields: ok, failed, cached, wall,
+                   # workers = processes forked for it, 0 inline)
     # Sweep service (repro.serve; source = "serve", time = wall seconds
     # since the scheduler started)
     "serve_request",      # a sweep request was accepted (fields: sweep,

@@ -31,13 +31,12 @@ import importlib
 import json
 import os
 import sys
-import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..common.rng import substream
 from ..exp.bench import build_experiment, find_bench_dir
-from ..exp.engine import FATAL_EXCEPTIONS
+from ..exp.engine import cell_failure
 from ..exp.experiment import Experiment
 from ..faults import SCHEDULING_FIELDS, FaultPlan
 
@@ -365,6 +364,20 @@ def _chaos_crash(task):
         os._exit(CRASH_EXIT_CODE)
 
 
+def _serve_task(conn, task, runners, recorder):
+    memo = json.dumps([task["spec"], task.get("plan")], sort_keys=True)
+    run = runners.get(memo)
+    if run is None:
+        recorder.note("flight_resolve", str(task["spec"]))
+        run = resolve_experiment(task["spec"], plan=task.get("plan")).run
+        runners[memo] = run
+    conn.send(("begin", task["task_id"]))
+    recorder.note("flight_run")
+    value = run(task["config"])
+    recorder.note("flight_done")
+    conn.send(("done", task["task_id"], "ok", value, None))
+
+
 def pool_worker_main(conn, worker_id, flight_path=None):
     """Body of one persistent pool worker process.
 
@@ -387,47 +400,24 @@ def pool_worker_main(conn, worker_id, flight_path=None):
             conn.close()
             return
         task = message[1]
-        task_id = task["task_id"]
         # Breadcrumb lands before the chaos draw: a chaos crash must
         # leave evidence of the task it interrupted.
         recorder.begin_task(task)
         _chaos_crash(task)
+        failure = cell_failure(_serve_task, conn, task, runners, recorder)
+        if failure is None:
+            continue
+        status, trace = failure
+        recorder.note(f"flight_{status}", trace.strip().splitlines()[-1][:200])
         try:
-            memo = json.dumps([task["spec"], task.get("plan")],
-                              sort_keys=True)
-            run = runners.get(memo)
-            if run is None:
-                recorder.note("flight_resolve", str(task["spec"]))
-                run = resolve_experiment(task["spec"],
-                                         plan=task.get("plan")).run
-                runners[memo] = run
-            conn.send(("begin", task_id))
-            recorder.note("flight_run")
-            value = run(task["config"])
-            recorder.note("flight_done")
-            conn.send(("done", task_id, "ok", value, None))
-        except FATAL_EXCEPTIONS:
-            # Operator interrupts / resource exhaustion: ship the
-            # traceback as a never-retried ``fatal`` row, then leave the
-            # loop — a worker that just blew its memory budget (or was
-            # interrupted) must not quietly pick up the next task.
-            failure = traceback.format_exc()
-            recorder.note("flight_fatal",
-                          failure.strip().splitlines()[-1][:200])
-            try:
-                conn.send(("done", task_id, "fatal", None, failure,
-                           recorder.tail()))
-            except (OSError, ValueError):
-                print(failure, file=sys.stderr)
+            conn.send(("done", task["task_id"], status, None, trace,
+                       recorder.tail()))
+        except (OSError, ValueError):
+            print(trace, file=sys.stderr)
+            return
+        if status == "fatal":
+            # Operator interrupts / resource exhaustion: a worker that
+            # just blew its memory budget (or was interrupted) must not
+            # quietly pick up the next task.
             conn.close()
             return
-        except BaseException:  # noqa: BLE001 — parent turns this into a row
-            failure = traceback.format_exc()
-            recorder.note("flight_error",
-                          failure.strip().splitlines()[-1][:200])
-            try:
-                conn.send(("done", task_id, "error", None, failure,
-                           recorder.tail()))
-            except (OSError, ValueError):
-                print(failure, file=sys.stderr)
-                return

@@ -1,6 +1,10 @@
 """The sweep engine: grids, caching, timeouts, determinism, cell parsing."""
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -51,6 +55,32 @@ def raise_interrupt(config):
 
 def raise_memory_error(config):
     raise MemoryError("simulated allocation failure")
+
+
+def report_pid(config):
+    if config.get("oom"):
+        raise MemoryError("simulated allocation failure")
+    return os.getpid()
+
+
+def exit_on_three(config):
+    if config["x"] == 3:
+        os._exit(3)
+    return config["x"]
+
+
+def _sweep_end(bus_sink):
+    (event,) = [e for e in bus_sink.events if e.kind == "sweep_end"]
+    return event.fields
+
+
+def _traced_run(experiment, **kwargs):
+    from repro.obs import RingSink, TraceBus
+
+    bus = TraceBus()
+    sink = bus.add_sink(RingSink(limit=None))
+    records = run_experiment(experiment, bus=bus, **kwargs)
+    return records, _sweep_end(sink)
 
 
 class TestGrid:
@@ -160,6 +190,84 @@ class TestEngineWorkers:
         assert all(r.ok for r in records)
         assert records[0].value["metrics"]["final_value"] == 8
         assert records[1].value["metrics"]["crosspoints"] == 16
+
+
+class TestEnginePool:
+    def test_workers_persist_across_cells(self):
+        experiment = Experiment(name="pids", run=report_pid,
+                                grid=grid(x=list(range(8))))
+        records, end = _traced_run(experiment, jobs=2)
+        assert all(r.ok for r in records)
+        assert len({r.value for r in records}) <= 2
+        assert os.getpid() not in {r.value for r in records}
+        assert 1 <= end["workers"] <= 2
+
+    def test_worker_death_names_exit_code_and_spares_neighbours(self):
+        experiment = Experiment(name="exit", run=exit_on_three,
+                                grid=grid(x=[1, 2, 3, 4, 5]))
+        records, end = _traced_run(experiment, jobs=2, retries=1)
+        bad = records[2]
+        assert bad.status == "error"
+        assert "exit code 3" in bad.error
+        assert bad.attempts == 2
+        assert [r.value for r in records if r.index != 2] == [1, 2, 4, 5]
+        assert all(r.ok for r in records if r.index != 2)
+
+    def test_timeout_replaces_the_worker(self):
+        experiment = Experiment(name="slow", run=slow_run,
+                                grid=[{"sleep": 30.0}, {"sleep": 0.0}])
+        records, end = _traced_run(experiment, jobs=1, retries=0,
+                                   timeout=0.3)
+        slow, fast = records
+        assert slow.status == "timeout" and slow.attempts == 1
+        assert fast.ok and fast.value == "done"
+        assert end["workers"] == 2
+
+    def test_fatal_retires_its_worker(self):
+        experiment = Experiment(name="oom", run=report_pid,
+                                grid=[{}, {"oom": True}, {}])
+        first, fatal, after = run_experiment(experiment, jobs=1)
+        assert fatal.status == "fatal" and fatal.attempts == 1
+        assert first.ok and after.ok
+        assert after.attempts == 1  # the parent did not reuse the worker
+        assert first.value != after.value
+
+    def test_inline_sweep_forks_no_workers(self):
+        experiment = Experiment(name="sq", run=square, grid=grid(x=[1, 2]))
+        _records, end = _traced_run(experiment, jobs=0)
+        assert end["workers"] == 0
+
+    def test_no_worker_outlives_the_sweep(self):
+        before = set(multiprocessing.active_children())
+        experiment = Experiment(name="sq", run=square,
+                                grid=grid(x=list(range(6))))
+        run_experiment(experiment, jobs=2)
+        assert set(multiprocessing.active_children()) <= before
+
+        def explode(record):
+            raise RuntimeError("progress sink failed")
+
+        with pytest.raises(RuntimeError, match="progress sink failed"):
+            run_experiment(experiment, jobs=2, progress=explode)
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_negative_timeout_rejected(self):
+        experiment = Experiment(name="sq", run=square, grid=grid(x=[1]))
+        with pytest.raises(ValueError, match="timeout"):
+            run_experiment(experiment, jobs=1, timeout=-1)
+
+    def test_negative_jobs_rejected_not_hung(self):
+        # A subprocess with a deadline: the bug this guards against was
+        # an unbounded wait on an empty worker set.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = ("from repro.exp import Experiment, run_experiment\n"
+                "run_experiment(Experiment(name='e', run=len, "
+                "grid=[{'x': 1}]), jobs=-1)\n")
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=60, env=dict(os.environ, PYTHONPATH=os.path.abspath(src)))
+        assert done.returncode != 0
+        assert "ValueError: jobs must be >= 0" in done.stderr
 
 
 class TestCache:

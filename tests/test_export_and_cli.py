@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import networkx as nx
 import pytest
@@ -131,6 +134,20 @@ class TestCli:
         payload = json.loads(output)
         assert payload["instructions"] > 20
         assert "by_class" in payload
+
+    @pytest.mark.parametrize("flag, value", [("--jobs", "-2"),
+                                             ("--timeout", "-1")])
+    def test_bench_rejects_negative_jobs_and_timeout(self, flag, value,
+                                                     tmp_path):
+        # In a subprocess with a deadline: a negative --jobs used to hang.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "bench", "--only", "e05",
+             "--no-cache", flag, value],
+            capture_output=True, text=True, timeout=60, cwd=str(tmp_path),
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)))
+        assert done.returncode == 2
+        assert f"argument {flag}: must be >= 0" in done.stderr
 
     def test_argument_parsing_types(self):
         from repro.cli import _parse_value
