@@ -112,25 +112,15 @@ class FifoServer:
                  self._complete, item, on_done)
 
     def _complete(self, item, on_done):
-        self._retire(self.sim._now)
+        if not self._busy:
+            raise ValueError("UtilizationTracker.end() without matching begin()")
+        self._busy_total += self.sim._now - self._busy_since
+        self._busy = False
+        self.items_served += 1
         on_done(item)
         # on_done may have resubmitted synchronously
         if not self._busy and self._queue:
             self._start_next()
-
-    def _retire(self, now):
-        """End the service in progress at ``now``.
-
-        The bookkeeping half of a completion, shared by :meth:`_complete`
-        and the batch kinds that replay completions with their own
-        handler; the caller then runs the handler and, if the server is
-        still idle with items waiting, :meth:`_start_next`.
-        """
-        if not self._busy:
-            raise ValueError("UtilizationTracker.end() without matching begin()")
-        self._busy_total += now - self._busy_since
-        self._busy = False
-        self.items_served += 1
 
     @property
     def queue_depth(self):

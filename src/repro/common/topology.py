@@ -1,6 +1,6 @@
 """Machine partition graphs — the topology API behind the sharded kernel.
 
-A machine that wants to run on the conservative-parallel event kernel
+A machine that wants to run on the sharded event kernel
 (:mod:`repro.common.psim`) describes itself as a *partition graph*:
 
 * :class:`TopologyUnit` — a simulation unit that owns private state (a

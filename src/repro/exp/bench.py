@@ -196,9 +196,9 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
             "data": table_rows(table),
         })
 
-    from ..common.batch import resolve_exec_mode
-    from ..common.simulator import resolve_shards
+    from ..common.simulator import KERNELS, resolve_kernel, resolve_shards
 
+    kernel = resolve_kernel()
     aggregate = {
         "experiments": telemetry,
         "failures": failures,
@@ -212,9 +212,9 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
             # are host-independent (the regression gate diffs them), the
             # telemetry is not — stamp enough to explain a slow run.
             "host_cpus": os.cpu_count() or 1,
-            "kernel": os.environ.get("REPRO_SIM_KERNEL") or "calendar",
+            "kernel": next(name for name, cls in KERNELS.items()
+                           if cls is kernel),
             "shards": resolve_shards(),
-            "exec_mode": resolve_exec_mode(),
             "python": sys.version.split()[0],
         },
     }

@@ -39,7 +39,25 @@ from typing import Any, Dict, Optional, Protocol, runtime_checkable
 __all__ = [
     "MachineModel",
     "SimResult",
+    "echo_options",
 ]
+
+
+def echo_options(config, faults=None, shards=None):
+    """Echo the optional ``faults`` plan and ``shards`` count into a
+    model's ``config``, each only when set, so default configs (and the
+    baseline rows and cache keys built from them) stay byte-identical.
+
+    Returns the coerced :class:`~repro.faults.FaultPlan`, or None.
+    """
+    from ..faults import coerce_plan
+
+    plan = coerce_plan(faults)
+    if plan is not None:
+        config["faults"] = plan.as_dict()
+    if shards is not None:
+        config["shards"] = shards
+    return plan
 
 
 @dataclass
@@ -64,8 +82,8 @@ class SimResult:
     #: their cycles; read it through :meth:`profile`.
     accounting: Optional[Dict[str, Any]] = None
     #: Optional event-kernel counters (``Simulator.kernel_stats()``):
-    #: which kernel ran, events fired, and — on the sharded parallel
-    #: kernel — null updates, channel traffic, and per-shard balance.
+    #: which kernel ran, events fired, and — on the sharded kernel —
+    #: channel traffic and per-shard balance.
     #: Telemetry about *this* run's engine, not part of the result:
     #: excluded from ``as_dict`` so payloads stay byte-identical across
     #: kernels (the byte-identity gate) and store-cached values never

@@ -28,7 +28,7 @@ serialize, and everyone waits for the farthest transfer.
 import random
 from dataclasses import dataclass
 
-from .api import SimResult
+from .api import SimResult, echo_options
 from .registry import register
 
 __all__ = [
@@ -117,12 +117,7 @@ class ConnectionMachine:
 
     def __init__(self, groups_log2=10, procs_per_group=64, word_bits=32,
                  message_bits=32, bit_time=1.0, illiac_rows=8,
-                 illiac_cols=8, illiac_shift_time=1.0, faults=None,
-                 exec_mode=None):
-        from ..common.batch import resolve_exec_mode
-        from ..faults import coerce_plan
-
-        self._fault_plan = coerce_plan(faults)
+                 illiac_cols=8, illiac_shift_time=1.0, faults=None):
         self.cm_config = CMConfig(
             groups_log2=groups_log2, procs_per_group=procs_per_group,
             word_bits=word_bits, message_bits=message_bits,
@@ -140,15 +135,7 @@ class ConnectionMachine:
             "illiac_cols": illiac_cols,
             "illiac_shift_time": illiac_shift_time,
         }
-        # Only echoed when set, so default configs (and every existing
-        # baseline row) stay byte-identical.
-        if self._fault_plan is not None:
-            self.config["faults"] = self._fault_plan.as_dict()
-        # Closed-form model (no event kernel), so exec_mode only needs
-        # validation and echo — sweep grids can set it uniformly.
-        resolve_exec_mode(exec_mode)
-        if exec_mode is not None:
-            self.config["exec_mode"] = exec_mode
+        self._fault_plan = echo_options(self.config, faults)
 
     # ------------------------------------------------------------------
     def route_round(self, messages):

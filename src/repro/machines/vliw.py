@@ -20,7 +20,7 @@ surprises then charge the full excess to the machine, lockstep-style.
 import math
 from dataclasses import dataclass
 
-from .api import SimResult
+from .api import SimResult, echo_options
 from .registry import register
 
 __all__ = ["VliwModel", "schedule_length", "StaticSchedule"]
@@ -77,25 +77,12 @@ class VliwModel:
     latency surprise.
     """
 
-    def __init__(self, issue_width=8, assumed_latency=1.0, faults=None,
-                 exec_mode=None):
-        from ..common.batch import resolve_exec_mode
-        from ..faults import coerce_plan
-
-        self._fault_plan = coerce_plan(faults)
+    def __init__(self, issue_width=8, assumed_latency=1.0, faults=None):
         self.config = {
             "issue_width": issue_width,
             "assumed_latency": assumed_latency,
         }
-        # Only echoed when set, so default configs (and every existing
-        # baseline row) stay byte-identical.
-        if self._fault_plan is not None:
-            self.config["faults"] = self._fault_plan.as_dict()
-        # Static schedule (no event kernel), so exec_mode only needs
-        # validation and echo — sweep grids can set it uniformly.
-        resolve_exec_mode(exec_mode)
-        if exec_mode is not None:
-            self.config["exec_mode"] = exec_mode
+        self._fault_plan = echo_options(self.config, faults)
 
     @property
     def issue_width(self):

@@ -280,6 +280,7 @@ def test_budget_exhaustion_keeps_unfired_events(sim_class):
     assert fired == ["a", "b"]
     sim.run()
     assert fired == ["a", "b", "c", "d"]
+    assert sim.events_fired == 4  # each entry fired exactly once
 
 
 @BOTH_KERNELS

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -174,3 +175,43 @@ class TestWmCapacity:
         assert r2.time > r1.time
         assert r2.counters.get("wm_overflows", 0) > 0
         assert r1.counters.get("wm_overflows", 0) == 0
+
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "src"))
+BENCHMARKS = os.path.join(os.path.dirname(SRC), "benchmarks")
+
+
+def test_runtime_does_not_import_numpy():
+    script = (
+        "import sys\n"
+        "import repro.cli\n"
+        "from repro.machines import registry\n"
+        "registry.create('ttda', n_pes=2).run(workload='matmul', args=[3])\n"
+        "registry.create('hep').run()\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_bench_meta_names_the_sharded_kernel(tmp_path):
+    bench_dir = tmp_path / "benchmarks"
+    shutil.copytree(BENCHMARKS, bench_dir, ignore=shutil.ignore_patterns(
+        "__pycache__", ".expcache", "results"))
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "bench", "--only", "e05",
+         "--no-cache", "--jobs", "0", "--shards", "2",
+         "--bench-dir", str(bench_dir)],
+        capture_output=True, text=True, timeout=300, cwd=str(tmp_path),
+        env=dict(env, PYTHONPATH=SRC))
+    assert done.returncode == 0, done.stderr
+    with open(tmp_path / "BENCH_results.json", encoding="utf-8") as fh:
+        meta = json.load(fh)["meta"]
+    assert meta["kernel"] == "parallel"
+    assert meta["shards"] == 2

@@ -144,7 +144,7 @@ class TestFifoServerBookkeeping:
     def test_end_without_begin_still_raises(self):
         server = FifoServer(Simulator(), 1)
         with pytest.raises(ValueError, match="without matching begin"):
-            server._retire(0)
+            server._complete("a", lambda item: None)
 
     def test_controller_queue_max_ignores_requests_that_never_waited(self):
         sim = Simulator()

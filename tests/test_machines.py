@@ -1,6 +1,8 @@
 """Tests for the survey machine models (C.mmp, Cm*, Ultracomputer, VLIW,
 Connection Machine / Illiac IV), driven through the unified registry API."""
 
+import json
+
 import pytest
 
 from repro.dataflow import Interpreter
@@ -212,3 +214,66 @@ class TestRemovedShims:
         import repro.machines as machines
         with pytest.raises(AttributeError, match="no attribute"):
             machines.definitely_not_a_thing
+
+
+# ----------------------------------------------------------------------
+# Config echo: the ``config`` dict is part of every cache key and result
+# row, so its exact shape is pinned per model.
+# ----------------------------------------------------------------------
+
+_ECHO_PLAN = {"seed": 7, "mem_slow_rate": 0.25, "mem_slow_cycles": 3.0}
+
+_ECHOED_PLAN = {
+    "seed": 7, "net_delay_rate": 0.0, "net_delay_cycles": 0.0,
+    "mem_slow_rate": 0.25, "mem_slow_cycles": 3.0, "mem_fail_rate": 0.0,
+    "pe_stall_rate": 0.0, "pe_stall_cycles": 0.0, "pe_crash_rate": 0.0,
+    "worker_crash_rate": 0.0, "retry_backoff": 4.0, "max_retries": 8,
+}
+
+#: name -> (default config, accepts ``shards``).
+_DEFAULT_CONFIGS = {
+    "cmmp": ({"n_procs": 16, "memory_time": 3.0, "switch_latency": 1.0,
+              "port_service_time": 1.0}, False),
+    "cmstar": ({"n_clusters": 4, "cluster_size": 4, "kmap_time": 3.0,
+                "intercluster_time": 9.0, "local_time": 1.0,
+                "memory_time": 2.0}, True),
+    "connection_machine": ({"groups_log2": 10, "procs_per_group": 64,
+                            "word_bits": 32, "message_bits": 32,
+                            "bit_time": 1.0, "illiac_rows": 8,
+                            "illiac_cols": 8, "illiac_shift_time": 1.0},
+                           False),
+    "hep": ({"contexts": 8, "latency": 8.0, "memory_time": 1.0,
+             "retry_backoff": 4.0}, False),
+    "ttda": ({"n_pes": 4, "network_latency": 4.0, "mapping": "hash",
+              "wm_capacity": None}, True),
+    "ultracomputer": ({"stages": 4, "combining": True, "switch_time": 1.0,
+                       "memory_time": 2.0}, True),
+    "vliw": ({"issue_width": 8, "assumed_latency": 1.0}, False),
+}
+
+
+@pytest.mark.parametrize("name", registry.names())
+def test_config_echo_is_pinned(name):
+    from repro.faults import FaultPlan
+
+    default, sharded = _DEFAULT_CONFIGS[name]
+    assert registry.create(name).config == default
+    with_plan = registry.create(name, faults=FaultPlan(**_ECHO_PLAN)).config
+    assert with_plan == {**default, "faults": _ECHOED_PLAN}
+    assert list(with_plan) == [*default, "faults"]
+    if sharded:
+        assert registry.create(name, shards=2).config == {**default,
+                                                          "shards": 2}
+    else:
+        with pytest.raises(TypeError):
+            registry.create(name, shards=2)
+
+
+def test_kernel_stats_not_in_payload():
+    """Telemetry rides the SimResult, never the cacheable payload."""
+    result = registry.create("ttda", n_pes=2).run(
+        workload="matmul", args=(3,))
+    assert result.kernel_stats["kernel"] == "calendar"
+    payload = result.as_dict()
+    assert "kernel_stats" not in payload
+    assert "events_fired" not in json.dumps(payload)

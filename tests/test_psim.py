@@ -1,13 +1,13 @@
-"""The sharded conservative-parallel kernel (repro.common.psim).
+"""The sharded kernel (repro.common.psim).
 
 The contract under test, in order of importance:
 
-1. **Byte-identity** — in the default ``sequenced`` mode, every machine
-   result (metrics, counters, accounting) is byte-for-byte the serial
-   calendar kernel's, across shard counts and with fault plans active.
-2. **Conservative synchronization** — window/thread modes drain only
-   below the inbound channel horizons, null clock updates break the
-   two-shard waiting ring, and zero-lookahead links are rejected.
+1. **Byte-identity** — every machine result (metrics, counters,
+   accounting) is byte-for-byte the serial calendar kernel's, across
+   shard counts and with fault plans active.
+2. **Channel checks** — a cross-shard post needs a declared channel and
+   a delay of at least its lookahead, and zero-lookahead links are
+   rejected.
 3. **Selection and validation** — ``shards`` resolves and validates
    through ``resolve_kernel``/``resolve_shards`` exactly like the PR 4
    kernel switch, env var included.
@@ -150,56 +150,14 @@ class TestKernelSelection:
         assert isinstance(sim, ShardedSimulator)
         assert sim.shards == 4
 
-    def test_constructor_validates_shards_and_mode(self):
+    def test_constructor_validates_shards(self):
         with pytest.raises(SimulationError):
             ShardedSimulator(shards=0)
         with pytest.raises(SimulationError):
             ShardedSimulator(shards=2.0)
-        with pytest.raises(SimulationError):
-            ShardedSimulator(shards=2, mode="optimistic")
-
-
-def two_shard_ring(mode, hops=25, lookahead=2.0):
-    """A waiting cycle: each shard only ever has work the other sends."""
-    sim = ShardedSimulator(shards=2, mode=mode)
-    left, right = object(), object()
-    sim.configure_shards(
-        [(left, 0), (right, 1)],
-        {(0, 1): lookahead, (1, 0): lookahead},
-    )
-    hits = []
-
-    def bounce(owner, other, hop):
-        hits.append((sim.now, hop))
-        if hop < hops:
-            sim.post_to(other, lookahead, bounce, other, owner, hop + 1)
-
-    sim.post_to(left, 0, bounce, left, right, 0)
-    sim.run()
-    return sim, hits
 
 
 class TestConservativeProtocol:
-    @pytest.mark.parametrize("mode", ["window", "thread"])
-    def test_null_messages_break_the_ring(self, mode):
-        """Without null clock updates the two-shard ring deadlocks —
-        each shard's horizon starts at the channel lookahead and only
-        promises advance it."""
-        sim, hits = two_shard_ring(mode)
-        assert [hop for (_, hop) in hits] == list(range(26))
-        assert [t for (t, _) in hits] == [2.0 * hop for hop in range(26)]
-        stats = sim.kernel_stats()
-        assert stats["channel_messages"] == 25
-        assert stats["null_updates"] > 0
-        assert stats["rounds"] >= 25
-
-    @pytest.mark.parametrize("mode", ["window", "thread"])
-    def test_window_matches_thread_and_repeats(self, mode):
-        first = two_shard_ring(mode)[1]
-        second = two_shard_ring(mode)[1]
-        assert first == second
-        assert first == two_shard_ring("window")[1]
-
     def test_zero_lookahead_rejected(self):
         sim = ShardedSimulator(shards=2)
         with pytest.raises(SimulationError, match="lookahead"):
@@ -208,7 +166,7 @@ class TestConservativeProtocol:
             sim.configure_shards([], [(1, 0, -1.0)])
 
     def test_cross_shard_post_needs_a_channel(self):
-        sim = ShardedSimulator(shards=2, mode="window")
+        sim = ShardedSimulator(shards=2)
         a, b = object(), object()
         sim.configure_shards([(a, 0), (b, 1)], {(0, 1): 1.0})
 
@@ -220,7 +178,7 @@ class TestConservativeProtocol:
             sim.run()
 
     def test_cross_shard_post_below_lookahead_rejected(self):
-        sim = ShardedSimulator(shards=2, mode="window")
+        sim = ShardedSimulator(shards=2)
         a, b = object(), object()
         sim.configure_shards([(a, 0), (b, 1)],
                              {(0, 1): 4.0, (1, 0): 4.0})
@@ -241,7 +199,7 @@ class TestConservativeProtocol:
 
 
 class TestSingleShardParity:
-    """ShardedSimulator(shards=1, sequenced) is the calendar kernel."""
+    """ShardedSimulator(shards=1) behaves as the calendar kernel."""
 
     @staticmethod
     def drive(sim):
