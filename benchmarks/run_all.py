@@ -6,9 +6,11 @@ Run:  python benchmarks/run_all.py [--only SUBSTRING] [--jobs N]
 Execution is farmed out by the sweep engine in :mod:`repro.exp`:
 modules that declare ``SWEEPS`` run grid-parallel (one worker per
 parameter point), the rest run one table per worker, and every finished
-run is cached on disk (``benchmarks/.expcache``) keyed by a content hash
-of (config, code version) — so a second invocation is served almost
-entirely from cache and editing a module invalidates exactly its runs.
+run is kept in the result store (``$REPRO_STORE``, else
+``~/.cache/repro/store.sqlite``; the one ``repro serve`` and ``repro
+cache`` use) keyed by a content hash of (config, code version) — so a
+second invocation is served almost entirely from the store and editing
+a module invalidates exactly its runs.
 
 Each table is written as .txt + .json, and an aggregate telemetry file
 ``BENCH_results.json`` (experiment name, table shape, wall-clock seconds)
@@ -76,7 +78,7 @@ def main(argv=None):
                         help="worker processes (default: cpu count; "
                              "0 = inline, no workers)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not update the result cache")
+                        help="ignore and do not update the result store")
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-run timeout before terminate + one retry")

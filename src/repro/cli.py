@@ -199,8 +199,10 @@ def build_parser():
                             "kernel with N shards (sets REPRO_SIM_SHARDS; "
                             "tables stay byte-identical to serial runs)")
     bench.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="result-cache directory (default: "
-                            "$REPRO_EXP_CACHE or <benchmarks>/.expcache)")
+                       help="result store: a directory (holding "
+                            "store.sqlite) or a .sqlite file (default: "
+                            "$REPRO_STORE or ~/.cache/repro/store.sqlite, "
+                            "the store repro serve and repro cache use)")
     bench.add_argument("--remote", default=None, metavar="URL",
                        help="run the suite against a repro serve "
                             "instance instead of in-process; tables are "
@@ -334,16 +336,16 @@ def build_parser():
     cache_clear = cache_sub.add_parser(
         "clear", help="drop every entry")
     cache_ingest = cache_sub.add_parser(
-        "ingest", help="import a legacy .expcache directory's entries")
-    cache_ingest.add_argument("dir", help="directory cache to import, "
-                                          "e.g. benchmarks/.expcache")
+        "ingest", help="import the entries of a legacy directory cache "
+                       "(<dir>/<experiment>/<key>.json files)")
+    cache_ingest.add_argument("dir", help="directory cache to import")
     for sub_parser in (cache_stats, cache_prune, cache_clear,
                        cache_ingest):
         sub_parser.add_argument(
             "--store", default=None, metavar="PATH",
-            help="store path (default: $REPRO_STORE or "
-                 "~/.cache/repro/store.sqlite; a legacy .expcache "
-                 "directory also works)")
+            help="store path: a directory (holding store.sqlite) or a "
+                 ".sqlite file (default: $REPRO_STORE or "
+                 "~/.cache/repro/store.sqlite)")
         sub_parser.add_argument("--json", action="store_true",
                                 help="machine-readable output")
 
@@ -1075,7 +1077,7 @@ def _cmd_top(options, out):
 
 def _cmd_cache(options, out):
     """Inspect / prune / clear / ingest the durable result store."""
-    from .serve.store import open_store
+    from .exp.cache import open_store
 
     store = open_store(options.store)
     try:
@@ -1111,10 +1113,6 @@ def _cmd_cache(options, out):
                   f"{'y' if dropped == 1 else 'ies'}", file=out)
             return 0
         if options.cache_command == "ingest":
-            if not hasattr(store, "ingest_dir"):
-                raise SystemExit("ingest needs a SQLite store target "
-                                 "(--store pointing at a directory "
-                                 "cache cannot ingest)")
             added = store.ingest_dir(options.dir)
             print(f"ingested {added} entr"
                   f"{'y' if added == 1 else 'ies'} from {options.dir}",
@@ -1123,8 +1121,7 @@ def _cmd_cache(options, out):
         raise SystemExit(f"unknown cache command "
                          f"{options.cache_command!r}")
     finally:
-        if hasattr(store, "close"):
-            store.close()
+        store.close()
 
 
 def _cmd_machine(options, out):

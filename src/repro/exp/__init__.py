@@ -1,4 +1,4 @@
-"""The parallel sweep engine (batch scheduler + result cache).
+"""The parallel sweep engine (batch scheduler + result store).
 
 The paper's argument is carried by 19 parameter-sweep experiments; this
 package is the machinery that runs such sweeps without the reproduction
@@ -10,9 +10,10 @@ of a parallelism paper being itself embarrassingly sequential:
   persistent ``multiprocessing`` workers with a per-run timeout, one
   retry, and structured failure rows instead of crashed sweeps
   (:mod:`repro.exp.engine`);
-* :class:`ResultCache` — disk cache keyed by a content hash of
-  (experiment, config, code-version) so re-runs are incremental
-  (:mod:`repro.exp.cache`);
+* :class:`SqliteStore` — the one result store, keyed by a content hash
+  of (experiment, config, code-version) so re-runs are incremental;
+  ``repro bench``, ``repro serve`` and ``repro cache`` all open it with
+  :func:`open_store` (:mod:`repro.exp.cache`);
 * :mod:`repro.exp.bench` — the benchmark-suite orchestration behind
   ``repro bench`` and ``benchmarks/run_all.py``.
 
@@ -21,24 +22,25 @@ Progress and telemetry stream through the existing :mod:`repro.obs` bus
 See docs/EXPERIMENT_ENGINE.md.
 """
 
-from .cache import (ResultCache, code_fingerprint, invalidate_fingerprints,
-                    resolve_cache_dir)
+from .cache import (SqliteStore, code_fingerprint, default_store_path,
+                    invalidate_fingerprints, open_store)
 from .engine import RunRecord, TaskQueue, records_payload, run_experiment
 from .experiment import Experiment, grid
 from .tables import parse_cell, payload_to_table, table_to_payload
 
 __all__ = [
     "Experiment",
-    "ResultCache",
     "RunRecord",
+    "SqliteStore",
     "TaskQueue",
     "code_fingerprint",
+    "default_store_path",
     "grid",
     "invalidate_fingerprints",
+    "open_store",
     "parse_cell",
     "payload_to_table",
     "records_payload",
-    "resolve_cache_dir",
     "run_experiment",
     "table_to_payload",
 ]

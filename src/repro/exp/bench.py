@@ -6,8 +6,10 @@ lives in ``benchmarks/run_all.py`` as the ``EXPERIMENTS`` list.  A bench
 module may additionally publish ``SWEEPS = {table_name: Experiment}``;
 those tables are executed *grid-parallel* — one worker per grid point —
 while the rest run as single-config experiments (the whole table in one
-worker).  Either way every run flows through the same scheduler, cache,
-timeout and telemetry machinery in :mod:`repro.exp.engine`.
+worker).  Either way every run flows through the same scheduler, store,
+timeout and telemetry machinery in :mod:`repro.exp.engine`, and finished
+values land in the one result store ``repro serve`` and ``repro cache``
+read (:func:`repro.exp.cache.open_store`).
 
 Results land exactly where the serial runner put them: a ``.txt`` +
 ``.json`` pair per table under ``benchmarks/results/`` and the aggregate
@@ -20,7 +22,7 @@ import os
 import sys
 import time
 
-from .cache import ResultCache, invalidate_fingerprints, resolve_cache_dir
+from .cache import invalidate_fingerprints, open_store
 from .engine import run_experiment
 from .experiment import Experiment
 from .tables import payload_to_table, table_rows, table_to_payload
@@ -111,9 +113,12 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
               faults=None):
     """Run the benchmark suite; returns the aggregate telemetry dict.
 
-    ``jobs``/``timeout``/``no_cache`` map 1:1 onto the ``repro bench``
-    CLI flags.  Tables print to stdout (as the serial runner always did);
-    per-experiment progress lines go to ``err``.
+    ``jobs``/``timeout``/``no_cache``/``cache_dir`` map 1:1 onto the
+    ``repro bench`` CLI flags.  ``cache_dir`` is any :func:`open_store`
+    path (a directory gets a ``store.sqlite`` inside); without it the
+    suite uses the shared default store.  The store is closed before
+    this returns.  Tables print to stdout (as the serial runner always
+    did); per-experiment progress lines go to ``err``.
 
     ``faults`` (a plan dict or a JSON file path, the ``--faults`` flag)
     is validated and exported as ``REPRO_FAULT_PLAN`` before the bench
@@ -147,54 +152,60 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
     run_all = importlib.import_module("run_all")
     harness = importlib.import_module("harness")
 
-    cache = None
-    if not no_cache:
-        cache = ResultCache(resolve_cache_dir(cache_dir, bench_dir))
+    cache = None if no_cache else open_store(cache_dir)
     timeout = DEFAULT_TIMEOUT if timeout is None else timeout
 
     telemetry = []
     failures = []
     suite_start = time.time()
-    for module_name, fn_name, out_name in _select(run_all.EXPERIMENTS, only):
-        experiment, is_sweep = _build_experiment(
-            bench_dir, module_name, fn_name, out_name)
-        start = time.time()
-        records = run_experiment(experiment, jobs=jobs, cache=cache,
-                                 timeout=timeout, bus=bus)
-        wall = time.time() - start
-        cached = sum(1 for record in records if record.cached)
-        failed = [record for record in records if not record.ok]
-        if failed:
-            for record in failed:
-                print(f"[FAILED] {out_name}[{record.index}] "
-                      f"{record.status} after {record.attempts} attempt(s):"
-                      f"\n{record.error}", file=err)
-            failures.append({
+    try:
+        for module_name, fn_name, out_name in _select(run_all.EXPERIMENTS,
+                                                      only):
+            experiment, is_sweep = _build_experiment(
+                bench_dir, module_name, fn_name, out_name)
+            start = time.time()
+            records = run_experiment(experiment, jobs=jobs, cache=cache,
+                                     timeout=timeout, bus=bus)
+            wall = time.time() - start
+            cached = sum(1 for record in records if record.cached)
+            failed = [record for record in records if not record.ok]
+            if failed:
+                for record in failed:
+                    print(f"[FAILED] {out_name}[{record.index}] "
+                          f"{record.status} after {record.attempts} "
+                          f"attempt(s):\n{record.error}", file=err)
+                failures.append({
+                    "experiment": out_name,
+                    "module": module_name,
+                    "rows": [record.payload() for record in failed],
+                })
+                continue
+            table = experiment.table([record.value for record in records])
+            harness.write_table(
+                table, out_name,
+                meta={"wall_seconds": round(wall, 3),
+                      "cache_hits": cached,
+                      "grid": len(records)},
+            )
+            print(f"[{wall:6.1f}s] {out_name} "
+                  f"({cached}/{len(records)} cached)\n", file=err)
+            telemetry.append({
                 "experiment": out_name,
                 "module": module_name,
-                "rows": [record.payload() for record in failed],
+                "title": table.title,
+                "rows": len(table.rows),
+                "columns": list(table.columns),
+                "wall_seconds": round(wall, 3),
+                "cache_hits": cached,
+                "grid": len(records),
+                "data": table_rows(table),
             })
-            continue
-        table = experiment.table([record.value for record in records])
-        harness.write_table(
-            table, out_name,
-            meta={"wall_seconds": round(wall, 3),
-                  "cache_hits": cached,
-                  "grid": len(records)},
-        )
-        print(f"[{wall:6.1f}s] {out_name} "
-              f"({cached}/{len(records)} cached)\n", file=err)
-        telemetry.append({
-            "experiment": out_name,
-            "module": module_name,
-            "title": table.title,
-            "rows": len(table.rows),
-            "columns": list(table.columns),
-            "wall_seconds": round(wall, 3),
-            "cache_hits": cached,
-            "grid": len(records),
-            "data": table_rows(table),
-        })
+    finally:
+        # A driver may call this once per module in one process
+        # (perfbench does): an unclosed connection would leak per call
+        # and leave its -wal/-shm files beside the store.
+        if cache is not None:
+            cache.close()
 
     from ..common.simulator import KERNELS, resolve_kernel, resolve_shards
 
@@ -205,7 +216,7 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
         "meta": {
             "jobs": jobs if jobs is not None else (os.cpu_count() or 1),
             "cache": (None if cache is None else
-                      {"root": cache.root, "hits": cache.hits,
+                      {"root": cache.path, "hits": cache.hits,
                        "misses": cache.misses}),
             "wall_seconds": round(time.time() - suite_start, 3),
             # Provenance: where this sweep ran.  The tables themselves

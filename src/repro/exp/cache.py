@@ -1,50 +1,55 @@
-"""The sweep result cache: content-addressed, invalidated by code change.
+"""The sweep result store: content-addressed, invalidated by code change.
 
-Every completed run is stored as one JSON file::
+Every completed run is one row of a single SQLite file, addressed by
+``(experiment, key)`` where ``key = sha256(experiment name, canonical
+config JSON, code version)``.  The code version is a content fingerprint
+of the source that produced the result — the :mod:`repro` package tree
+plus any ``code_paths`` the experiment names (its benchmark module,
+typically) — so editing a model or a bench module invalidates exactly
+the runs whose code changed, while re-running an untouched sweep is pure
+store hits.
 
-    <root>/<experiment>/<key>.json
-
-where ``key = sha256(experiment name, canonical config JSON, code
-version)``.  The code version is a content fingerprint of the source
-that produced the result — the :mod:`repro` package tree plus any
-``code_paths`` the experiment names (its benchmark module, typically) —
-so editing a model or a bench module invalidates exactly the runs whose
-code changed, while re-running an untouched sweep is pure cache hits.
-
-Only successful runs are cached; timeouts and errors are always retried
+Only successful runs are stored; timeouts and errors are always retried
 on the next invocation.
 
-The cache location is configurable: ``repro bench --cache-dir``, the
-``cache_dir=`` kwarg to :func:`repro.exp.bench.run_suite`, or the
-``REPRO_EXP_CACHE`` environment variable (in that precedence order),
-falling back to ``<benchmarks>/.expcache``.  The same ``get``/``put``
-interface is implemented by the durable SQLite store behind ``repro
-serve`` (:mod:`repro.serve.store`), which subsumes this directory layout
-for service deployments.
+One store serves every reader and writer: ``repro bench``, ``repro
+serve`` and ``repro cache`` all open it through :func:`open_store`.  The
+location is ``$REPRO_STORE``, else ``~/.cache/repro/store.sqlite``
+(:func:`default_store_path`); ``repro bench --cache-dir DIR`` and
+``--store PATH`` name another one.  A directory path gets a
+``store.sqlite`` inside it.
+
+Values round-trip through canonical JSON (``sort_keys`` +
+``default=repr``), so a sweep served from the store assembles a table
+byte-identical to a freshly simulated one.
 """
 
 import functools
 import hashlib
 import json
 import os
+import threading
 import time
 
-__all__ = ["ResultCache", "code_fingerprint", "config_key",
-           "invalidate_fingerprints", "resolve_cache_dir"]
+__all__ = ["SqliteStore", "code_fingerprint", "config_key",
+           "default_store_path", "invalidate_fingerprints", "open_store"]
 
+#: Name of the SQLite file created inside a store *directory*.
+STORE_FILENAME = "store.sqlite"
 
-def resolve_cache_dir(cache_dir=None, bench_dir=None):
-    """The experiment-cache directory: explicit argument, then the
-    ``REPRO_EXP_CACHE`` environment variable, then the historical
-    ``<benchmarks>/.expcache`` default."""
-    if cache_dir:
-        return os.path.abspath(cache_dir)
-    env = os.environ.get("REPRO_EXP_CACHE")
-    if env:
-        return os.path.abspath(env)
-    if bench_dir:
-        return os.path.join(os.path.abspath(bench_dir), ".expcache")
-    raise ValueError("no cache_dir, $REPRO_EXP_CACHE, or bench_dir given")
+_SCHEMA = """
+CREATE TABLE IF NOT EXISTS results (
+    experiment   TEXT NOT NULL,
+    key          TEXT NOT NULL,
+    config       TEXT NOT NULL,
+    code_version TEXT,
+    value        TEXT NOT NULL,
+    created      REAL NOT NULL,
+    hits         INTEGER NOT NULL DEFAULT 0,
+    last_hit     REAL,
+    PRIMARY KEY (experiment, key)
+);
+"""
 
 
 def _iter_source_files(path):
@@ -106,84 +111,128 @@ def config_key(experiment_name, config, code_version):
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
 
 
-class ResultCache:
-    """Directory-backed store of finished run values."""
+def default_store_path():
+    """The store location: ``$REPRO_STORE`` or ``~/.cache/repro``."""
+    env = os.environ.get("REPRO_STORE")
+    if env:
+        return os.path.abspath(env)
+    return os.path.join(os.path.expanduser("~"), ".cache", "repro")
 
-    def __init__(self, root):
-        self.root = os.path.abspath(root)
+
+def open_store(path=None):
+    """Open the store at ``path`` (default :func:`default_store_path`).
+
+    A ``*.sqlite``/``*.db`` path or an existing file is the SQLite file
+    itself; any other path is a directory holding ``store.sqlite``.
+    """
+    path = os.path.abspath(path or default_store_path())
+    if path.endswith((".sqlite", ".db")) or os.path.isfile(path):
+        return SqliteStore(path)
+    return SqliteStore(os.path.join(path, STORE_FILENAME))
+
+
+def _read_dir_entries(root):
+    """Yield ``(experiment, key, entry)`` from a legacy directory cache:
+    one ``<root>/<experiment>/<key>.json`` file per run, each holding
+    ``config``, ``code_version`` and ``value``.  Unreadable files are
+    skipped."""
+    if not os.path.isdir(root):
+        return
+    for experiment in sorted(os.listdir(root)):
+        exp_dir = os.path.join(root, experiment)
+        if not os.path.isdir(exp_dir):
+            continue
+        for filename in sorted(os.listdir(exp_dir)):
+            if not filename.endswith(".json"):
+                continue
+            try:
+                with open(os.path.join(exp_dir, filename), "r",
+                          encoding="utf-8") as fh:
+                    entry = json.load(fh)
+            except (OSError, ValueError):
+                continue
+            yield experiment, filename[:-5], entry
+
+
+def _dumps(value):
+    return json.dumps(value, sort_keys=True, default=repr)
+
+
+class SqliteStore:
+    """SQLite-backed content-addressed result store.
+
+    One writer at a time (WAL mode), safe across threads behind an
+    internal lock.  Lookups are a primary-key probe, and maintenance
+    (``stats`` / ``prune`` / ``clear``) runs as SQL aggregates.
+    """
+
+    def __init__(self, path):
+        # Imported here: ``import repro.cli`` reaches this module, and
+        # only commands that open a store should pay for sqlite3.
+        import sqlite3
+
+        self.path = os.path.abspath(path)
+        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         self.hits = 0
         self.misses = 0
+        self._lock = threading.Lock()
+        self._db = sqlite3.connect(self.path, check_same_thread=False)
+        with self._lock:
+            self._db.execute("PRAGMA journal_mode=WAL")
+            self._db.execute(_SCHEMA)
+            self._db.commit()
 
-    def _path(self, experiment_name, key):
-        return os.path.join(self.root, experiment_name, f"{key}.json")
-
+    # -- the engine cache interface ------------------------------------
     def get(self, experiment_name, key):
-        """(found, value) — ``found`` False on miss or unreadable entry."""
-        path = self._path(experiment_name, key)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except (OSError, ValueError):
-            self.misses += 1
-            return False, None
+        """(found, value) with persistent hit accounting."""
+        with self._lock:
+            row = self._db.execute(
+                "SELECT value FROM results WHERE experiment=? AND key=?",
+                (experiment_name, key)).fetchone()
+            if row is None:
+                self.misses += 1
+                return False, None
+            self._db.execute(
+                "UPDATE results SET hits=hits+1, last_hit=? "
+                "WHERE experiment=? AND key=?",
+                (time.time(), experiment_name, key))
+            self._db.commit()
         self.hits += 1
-        return True, entry.get("value")
+        return True, json.loads(row[0])
 
     def put(self, experiment_name, key, config, code_version, value):
-        """Persist one successful run value (atomic rename)."""
-        path = self._path(experiment_name, key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        entry = {
-            "experiment": experiment_name,
-            "config": config,
-            "code_version": code_version,
-            "value": value,
-        }
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, sort_keys=True, default=repr)
-            fh.write("\n")
-        os.replace(tmp, path)
+        """Persist one successful run value (idempotent upsert)."""
+        blob = _dumps(value)
+        with self._lock:
+            self._db.execute(
+                "INSERT INTO results (experiment, key, config, "
+                "code_version, value, created) VALUES (?, ?, ?, ?, ?, ?) "
+                "ON CONFLICT(experiment, key) DO UPDATE SET value=?",
+                (experiment_name, key, _dumps(config), code_version, blob,
+                 time.time(), blob))
+            self._db.commit()
 
-    # -- inspection / maintenance (the `repro cache` surface) ----------
-    def entries(self):
-        """Yield ``(experiment, key, path, mtime, bytes)`` per entry."""
-        if not os.path.isdir(self.root):
-            return
-        for experiment in sorted(os.listdir(self.root)):
-            exp_dir = os.path.join(self.root, experiment)
-            if not os.path.isdir(exp_dir):
-                continue
-            for filename in sorted(os.listdir(exp_dir)):
-                if not filename.endswith(".json"):
-                    continue
-                path = os.path.join(exp_dir, filename)
-                try:
-                    info = os.stat(path)
-                except OSError:
-                    continue
-                yield (experiment, filename[:-5], path,
-                       info.st_mtime, info.st_size)
-
+    # -- maintenance (the `repro cache` surface) -----------------------
     def stats(self):
-        """Aggregate disk stats plus this process's hit/miss counters."""
-        per_experiment = {}
-        total_bytes = 0
-        count = 0
-        oldest = None
-        for experiment, _key, _path, mtime, size in self.entries():
-            bucket = per_experiment.setdefault(
-                experiment, {"entries": 0, "bytes": 0})
-            bucket["entries"] += 1
-            bucket["bytes"] += size
-            total_bytes += size
-            count += 1
-            oldest = mtime if oldest is None else min(oldest, mtime)
+        """Aggregate store statistics, including persistent hit counts."""
+        with self._lock:
+            total, total_bytes, total_hits, oldest = self._db.execute(
+                "SELECT COUNT(*), COALESCE(SUM(LENGTH(value)), 0), "
+                "COALESCE(SUM(hits), 0), MIN(created) FROM results"
+            ).fetchone()
+            per_experiment = {
+                name: {"entries": entries, "bytes": size, "hits": hits}
+                for name, entries, size, hits in self._db.execute(
+                    "SELECT experiment, COUNT(*), SUM(LENGTH(value)), "
+                    "SUM(hits) FROM results GROUP BY experiment "
+                    "ORDER BY experiment")
+            }
         return {
-            "backend": "dir",
-            "root": self.root,
-            "entries": count,
+            "backend": "sqlite",
+            "root": self.path,
+            "entries": total,
             "bytes": total_bytes,
+            "hits": total_hits,
             "experiments": per_experiment,
             # Clamped at zero: a backwards clock step between write and
             # stat must not report a negative age.
@@ -194,36 +243,51 @@ class ResultCache:
         }
 
     def prune(self, older_than_seconds):
-        """Delete entries older than the cutoff; returns entries removed.
+        """Delete entries created before the cutoff; returns rows removed.
 
         ``older_than_seconds`` must be non-negative — a negative window
-        would place the cutoff in the future and delete entries written
-        this instant.  The cutoff is additionally clamped to *now* so an
-        entry stamped in the future (clock stepped backwards since the
-        write) is treated as age zero, never as prunable.
+        (e.g. a mis-parsed ``--older-than``) would place the cutoff in
+        the future and delete entries written this instant.  The cutoff
+        is additionally clamped to *now*, so a row whose ``created``
+        stamp lies in the future (the wall clock stepped backwards since
+        the write) has its age treated as zero, never as prunable.
         """
         if not older_than_seconds >= 0:
             raise ValueError(
                 f"older_than_seconds must be >= 0, got {older_than_seconds!r}")
         now = time.time()
         cutoff = min(now - older_than_seconds, now)
-        removed = 0
-        for _experiment, _key, path, mtime, _size in list(self.entries()):
-            if mtime < cutoff:
-                try:
-                    os.remove(path)
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
+        with self._lock:
+            cursor = self._db.execute(
+                "DELETE FROM results WHERE created < ?", (cutoff,))
+            self._db.commit()
+        return cursor.rowcount
 
     def clear(self):
-        """Delete every entry; returns entries removed."""
-        removed = 0
-        for _experiment, _key, path, _mtime, _size in list(self.entries()):
-            try:
-                os.remove(path)
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        """Delete every entry; returns rows removed."""
+        with self._lock:
+            cursor = self._db.execute("DELETE FROM results")
+            self._db.commit()
+        return cursor.rowcount
+
+    def ingest_dir(self, root):
+        """Import a legacy directory cache (``<root>/<experiment>/<key>.json``
+        files) into this store; returns entries imported.  Existing keys
+        are left untouched (the directory entry is not newer)."""
+        imported = 0
+        with self._lock:
+            for experiment, key, entry in _read_dir_entries(root):
+                cursor = self._db.execute(
+                    "INSERT OR IGNORE INTO results (experiment, key, "
+                    "config, code_version, value, created) "
+                    "VALUES (?, ?, ?, ?, ?, ?)",
+                    (experiment, key, _dumps(entry.get("config")),
+                     entry.get("code_version"), _dumps(entry.get("value")),
+                     time.time()))
+                imported += cursor.rowcount
+            self._db.commit()
+        return imported
+
+    def close(self):
+        with self._lock:
+            self._db.close()

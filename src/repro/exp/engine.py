@@ -25,7 +25,7 @@ value depends only on its config (the :class:`Experiment` purity rule),
 so ``--jobs 1`` and ``--jobs 4`` produce identical values —
 :func:`records_payload` (without timing) is byte-identical JSON.
 
-With a :class:`~repro.exp.cache.ResultCache` attached, each config is
+With a :class:`~repro.exp.cache.SqliteStore` attached, each config is
 looked up by content hash of (experiment, config, code-version) first;
 hits never reach a worker.  Progress streams through a
 :class:`repro.obs.TraceBus` as ``sweep_begin`` / ``sweep_task`` /
@@ -341,8 +341,8 @@ def run_experiment(experiment, jobs=None, cache=None, timeout=None,
     terminated and replaced, and the run retried up to ``retries`` more
     times before a ``timeout`` record is written.  Negative ``jobs`` or
     ``timeout`` raise :class:`ValueError`.
-    ``cache``: any content-addressed store with the
-    :class:`~repro.exp.cache.ResultCache` ``get``/``put`` interface;
+    ``cache``: a result store with the
+    :class:`~repro.exp.cache.SqliteStore` ``get``/``put`` interface;
     hits skip execution entirely.  ``bus``: a :class:`repro.obs.TraceBus`
     for progress telemetry.  ``progress``: callable invoked with each
     finished :class:`RunRecord`.

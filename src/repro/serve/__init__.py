@@ -4,34 +4,16 @@
 service — the paper's latency-tolerance argument applied to our own
 pipeline.  A persistent worker pool (:mod:`~repro.serve.scheduler`)
 executes sweep cells with straggler backup tasks and worker-failure
-recovery; a content-addressed SQLite store (:mod:`~repro.serve.store`)
-answers repeat sweeps without simulating; a stdlib asyncio HTTP front
-end (:mod:`~repro.serve.server`) and client (:mod:`~repro.serve.client`)
+recovery; the content-addressed result store that ``repro bench`` also
+writes (:mod:`repro.exp.cache`) answers repeat sweeps without
+simulating; a stdlib asyncio HTTP front end
+(:mod:`~repro.serve.server`) and client (:mod:`~repro.serve.client`)
 carry the JSON protocol (:mod:`~repro.serve.protocol`).
 
 See ``docs/SERVICE.md`` for the API reference and deployment notes.
+
+The package imports none of its submodules, so ``import repro.cli``
+(which needs only :data:`~repro.serve.protocol.DEFAULT_PORT`) does not
+load the server, scheduler, client or :mod:`repro.predict`.  Import the
+submodules directly.
 """
-
-from .client import ServeClient, ServeError, remote_suite
-from .protocol import DEFAULT_PORT, FlightRecorder, ProtocolError, SweepRequest
-from .scheduler import SweepScheduler
-from .server import ServerThread, run_server
-from .store import SqliteStore, default_store_path, open_store
-from .trace import sweep_trace
-
-__all__ = [
-    "DEFAULT_PORT",
-    "FlightRecorder",
-    "ProtocolError",
-    "ServeClient",
-    "ServeError",
-    "ServerThread",
-    "SqliteStore",
-    "SweepRequest",
-    "SweepScheduler",
-    "default_store_path",
-    "open_store",
-    "remote_suite",
-    "run_server",
-    "sweep_trace",
-]

@@ -7,8 +7,8 @@ our own experiment pipeline.  A single :class:`SweepScheduler` owns a
 pool of long-lived worker processes and any number of concurrently
 running sweeps; cells flow through the same
 :class:`~repro.exp.engine.TaskQueue` the batch engine uses, and finished
-values land in a durable content-addressed store
-(:mod:`repro.serve.store`) so repeat sweeps never simulate.
+values land in the durable content-addressed store ``repro bench`` also
+writes (:mod:`repro.exp.cache`) so repeat sweeps never simulate.
 
 Failure handling (Dean & Ghemawat's three classics):
 

@@ -35,10 +35,10 @@ import threading
 import time
 import urllib.parse
 
+from ..exp.cache import open_store
 from ..predict import OutOfRegionError, PredictError
 from .protocol import DEFAULT_PORT, ProtocolError
 from .scheduler import SweepScheduler
-from .store import open_store
 from .trace import sweep_trace
 
 __all__ = ["ServeApp", "ServerThread", "run_server"]
@@ -335,10 +335,10 @@ def run_server(host="127.0.0.1", port=DEFAULT_PORT, workers=None,
     app = ServeApp(scheduler, store=store)
 
     def banner(bound):
-        root = getattr(store, "path", getattr(store, "root", None))
         print(f"repro serve: http://{host}:{bound}  "
               f"(workers={scheduler.size}, "
-              f"store={root if store is not None else 'off'})", file=err)
+              f"store={store.path if store is not None else 'off'})",
+              file=err)
 
     async def _main():
         task = asyncio.ensure_future(
@@ -353,7 +353,7 @@ def run_server(host="127.0.0.1", port=DEFAULT_PORT, workers=None,
         print("repro serve: interrupted, draining workers", file=err)
     finally:
         scheduler.close()
-        if store is not None and hasattr(store, "close"):
+        if store is not None:
             store.close()
     return 0
 

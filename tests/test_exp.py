@@ -11,7 +11,7 @@ import pytest
 
 from repro.exp import (
     Experiment,
-    ResultCache,
+    SqliteStore,
     code_fingerprint,
     grid,
     invalidate_fingerprints,
@@ -21,7 +21,7 @@ from repro.exp import (
     run_experiment,
     table_to_payload,
 )
-from repro.exp.cache import config_key
+from repro.exp.cache import config_key, open_store
 from repro.machines import registry
 
 
@@ -271,11 +271,16 @@ class TestEnginePool:
 
 
 class TestCache:
+    @pytest.fixture
+    def cache(self, tmp_path):
+        store = SqliteStore(str(tmp_path / "store.sqlite"))
+        yield store
+        store.close()
+
     def _experiment(self):
         return Experiment(name="sq", run=square, grid=grid(x=[1, 2, 3]))
 
-    def test_second_run_is_served_from_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    def test_second_run_is_served_from_cache(self, cache):
         experiment = self._experiment()
         first = run_experiment(experiment, jobs=0, cache=cache)
         assert all(not r.cached for r in first)
@@ -285,8 +290,7 @@ class TestCache:
         assert cache.hits == 3
         assert [r.value for r in second] == [1, 4, 9]
 
-    def test_config_change_invalidates_exactly_that_point(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    def test_config_change_invalidates_exactly_that_point(self, cache):
         run_experiment(self._experiment(), jobs=0, cache=cache)
         grown = Experiment(name="sq", run=square, grid=grid(x=[1, 2, 4]))
         records = run_experiment(grown, jobs=0, cache=cache)
@@ -301,8 +305,7 @@ class TestCache:
         assert config_key("e", {"a": 1, "b": 2}, "v") == (
             config_key("e", {"b": 2, "a": 1}, "v"))
 
-    def test_failures_are_not_cached(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    def test_failures_are_not_cached(self, cache):
         experiment = Experiment(name="f", run=fail_on_three,
                                 grid=grid(x=[3]))
         run_experiment(experiment, jobs=1, cache=cache)
@@ -429,26 +432,21 @@ class TestTimeoutPhase:
 
 
 class TestCacheDirResolution:
-    def test_explicit_beats_env_beats_bench_dir(self, monkeypatch, tmp_path):
-        from repro.exp import resolve_cache_dir
-
-        monkeypatch.setenv("REPRO_EXP_CACHE", str(tmp_path / "env"))
-        assert resolve_cache_dir(str(tmp_path / "arg")) == \
-            str(tmp_path / "arg")
-        assert resolve_cache_dir(None) == str(tmp_path / "env")
-        monkeypatch.delenv("REPRO_EXP_CACHE")
-        assert resolve_cache_dir(None, str(tmp_path)) == \
-            str(tmp_path / ".expcache")
-        with pytest.raises(ValueError, match="cache"):
-            resolve_cache_dir(None, None)
-
-    def test_env_var_redirects_engine_cache(self, monkeypatch, tmp_path):
-        from repro.exp import resolve_cache_dir
-
-        monkeypatch.setenv("REPRO_EXP_CACHE", str(tmp_path / "redirect"))
-        cache = ResultCache(resolve_cache_dir(None))
-        experiment = Experiment(name="sq", run=square, grid=grid(x=[5]))
-        first = run_experiment(experiment, jobs=0, cache=cache)
-        second = run_experiment(experiment, jobs=0, cache=cache)
-        assert not first[0].cached and second[0].cached
-        assert (tmp_path / "redirect").is_dir()
+    def test_cache_dir_beats_repro_store_beats_default(self, monkeypatch,
+                                                       tmp_path):
+        # `repro bench --cache-dir`, `repro serve --store` and `repro
+        # cache --store` all resolve through open_store: an explicit
+        # path first, then $REPRO_STORE, then ~/.cache/repro.
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env"))
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        for path, expected in (
+                (str(tmp_path / "arg"), tmp_path / "arg"),
+                (None, tmp_path / "env")):
+            store = open_store(path)
+            assert store.path == str(expected / "store.sqlite")
+            store.close()
+        monkeypatch.delenv("REPRO_STORE")
+        store = open_store(None)
+        assert store.path == str(
+            tmp_path / "home" / ".cache" / "repro" / "store.sqlite")
+        store.close()

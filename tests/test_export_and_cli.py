@@ -198,10 +198,27 @@ def test_runtime_does_not_import_numpy():
     assert done.stdout.strip() == "False"
 
 
+def test_cli_import_does_not_load_the_service_stack():
+    # `repro bench` imports repro.cli; only `repro serve`/`submit`/...
+    # and commands that open the result store should pay for these.
+    heavy = ("repro.serve.server", "repro.serve.scheduler",
+             "repro.serve.client", "repro.predict", "sqlite3")
+    script = (
+        "import sys\n"
+        "import repro.cli\n"
+        f"print([name for name in {heavy!r} if name in sys.modules])\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_bench_meta_names_the_sharded_kernel(tmp_path):
     bench_dir = tmp_path / "benchmarks"
     shutil.copytree(BENCHMARKS, bench_dir, ignore=shutil.ignore_patterns(
-        "__pycache__", ".expcache", "results"))
+        "__pycache__", "results"))
     env = {key: value for key, value in os.environ.items()
            if not key.startswith("REPRO_")}
     done = subprocess.run(

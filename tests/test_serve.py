@@ -2,23 +2,31 @@
 
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
-from repro.serve import (
-    ProtocolError,
-    ServeClient,
-    ServeError,
-    ServerThread,
-    SqliteStore,
-    SweepRequest,
-    SweepScheduler,
-    open_store,
-)
-from repro.serve.protocol import key_config, machine_plan, scheduling_plan
-from repro.serve.store import default_store_path
+from repro.exp.cache import SqliteStore, default_store_path, open_store
+from repro.serve.client import ServeClient, ServeError
+from repro.serve.protocol import (ProtocolError, SweepRequest, key_config,
+                                  machine_plan, scheduling_plan)
+from repro.serve.scheduler import SweepScheduler
+from repro.serve.server import ServerThread
 
 WAIT = 120.0  # generous per-sweep ceiling; sweeps finish in seconds
+
+
+def _write_legacy_entry(root, experiment, key, config, value):
+    """One entry in the legacy directory-cache layout that ``repro cache
+    ingest`` reads: ``<root>/<experiment>/<key>.json``."""
+    exp_dir = root / experiment
+    exp_dir.mkdir(parents=True, exist_ok=True)
+    (exp_dir / f"{key}.json").write_text(json.dumps(
+        {"experiment": experiment, "config": config,
+         "code_version": "v0", "value": value}))
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +106,16 @@ class TestStore:
         assert isinstance(inside, SqliteStore)
         assert inside.path.endswith("store.sqlite")
         inside.close()
-        # A legacy .expcache layout (subdirs of .json files) opens as
-        # the directory cache.
+        # A legacy directory-cache layout (subdirs of .json files) is
+        # just a directory too: it gets a store.sqlite beside them.
         legacy = tmp_path / "expcache" / "e1"
         legacy.mkdir(parents=True)
         (legacy / "abc.json").write_text('{"value": 1}')
         dir_store = open_store(str(tmp_path / "expcache"))
-        assert not isinstance(dir_store, SqliteStore)
+        assert isinstance(dir_store, SqliteStore)
+        assert dir_store.path == str(tmp_path / "expcache" / "store.sqlite")
+        assert dir_store.stats()["entries"] == 0
+        dir_store.close()
 
     def test_default_store_path_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env.sqlite"))
@@ -113,10 +124,9 @@ class TestStore:
         assert ".cache" in default_store_path()
 
     def test_ingest_legacy_dir_cache(self, tmp_path):
-        from repro.exp import ResultCache
-
-        legacy = ResultCache(str(tmp_path / "expcache"))
-        legacy.put("e1", "deadbeef", {"x": 1}, "v0", {"y": 7})
+        _write_legacy_entry(tmp_path / "expcache", "e1", "deadbeef",
+                            {"x": 1}, {"y": 7})
+        (tmp_path / "expcache" / "e1" / "torn.json").write_text("{")
         store = SqliteStore(str(tmp_path / "s.sqlite"))
         assert store.ingest_dir(str(tmp_path / "expcache")) == 1
         assert store.get("e1", "deadbeef") == (True, {"y": 7})
@@ -527,7 +537,7 @@ class TestTelemetry:
 
     def test_trace_records_crash_recovery(self):
         from repro.obs.sinks import validate_chrome_trace
-        from repro.serve import sweep_trace
+        from repro.serve.trace import sweep_trace
 
         grid = [{"x": i} for i in range(8)]
         chaos = {"worker_crash_rate": 0.5, "seed": 7, "max_retries": 4}
@@ -650,10 +660,7 @@ class TestCacheCli:
         assert stats["entries"] == 0 and stats["backend"] == "sqlite"
 
     def test_ingest_subcommand(self, tmp_path):
-        from repro.exp import ResultCache
-
-        legacy = ResultCache(str(tmp_path / "expcache"))
-        legacy.put("e1", "cafe", {"x": 1}, "v0", 41)
+        _write_legacy_entry(tmp_path / "expcache", "e1", "cafe", {"x": 1}, 41)
         store_path = str(tmp_path / "s.sqlite")
         code, text = self._main("cache", "ingest",
                                 str(tmp_path / "expcache"),
@@ -673,3 +680,74 @@ class TestCacheCli:
         assert _parse_duration("2w") == 14 * 86400.0
         with pytest.raises(SystemExit):
             _parse_duration("fortnight")
+
+
+# ---------------------------------------------------------------------------
+# one store: repro bench writes where repro serve and repro cache read
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def bench_store(tmp_path_factory):
+    """Run e07 through ``run_suite(cache_dir=D)`` at two workers in a
+    child process (on a scratch copy of ``benchmarks/``, so the committed
+    results stay untouched) and list ``D`` right after it returns, while
+    that process still runs."""
+    root = tmp_path_factory.mktemp("one_store")
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    bench_dir = root / "benchmarks"
+    shutil.copytree(os.path.join(repo, "benchmarks"), bench_dir,
+                    ignore=shutil.ignore_patterns("__pycache__", "results"))
+    store_dir = root / "store"
+    script = (
+        "import contextlib, io, json, os, sys\n"
+        "from repro.exp.bench import run_suite\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    aggregate = run_suite(only='e07', jobs=2,\n"
+        "                          bench_dir=sys.argv[1],\n"
+        "                          cache_dir=sys.argv[2])\n"
+        "json.dump({'listing': sorted(os.listdir(sys.argv[2])),\n"
+        "           'aggregate': aggregate}, sys.stdout)\n"
+    )
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(bench_dir), str(store_dir)],
+        capture_output=True, text=True, timeout=300, cwd=str(root),
+        env=dict(env, PYTHONPATH=os.path.join(repo, "src")))
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    return bench_dir, store_dir, result["listing"], result["aggregate"]
+
+
+class TestOneStore:
+    def test_run_suite_closes_its_store(self, bench_store):
+        # No connection left open: SQLite has folded its -wal/-shm files
+        # back into the one database file.
+        _bench_dir, _store_dir, listing, aggregate = bench_store
+        assert listing == ["store.sqlite"]
+        assert not aggregate["failures"]
+
+    def test_bench_warms_the_service_and_cache_cli(self, bench_store):
+        bench_dir, store_dir, _listing, aggregate = bench_store
+        (e07,) = aggregate["experiments"]
+        cells = e07["grid"]
+        assert cells > 1 and e07["cache_hits"] == 0
+        assert aggregate["meta"]["cache"]["misses"] == cells
+        store = open_store(str(store_dir))
+        with SweepScheduler(store=store, bench_dir=str(bench_dir),
+                            workers=1) as sched:
+            sid = sched.submit({"experiment": "e07_trapezoid"})
+            assert sched.wait(sid, timeout=WAIT)
+            status = sched.status(sid)
+        store.close()
+        assert status["state"] == "done"
+        assert status["stats"]["executed"] == 0
+        assert status["stats"]["store_hits"] == cells
+        from repro.cli import main
+
+        out = io.StringIO()
+        assert main(["cache", "stats", "--store", str(store_dir),
+                     "--json"], out=out) == 0
+        stats = json.loads(out.getvalue())
+        assert stats["backend"] == "sqlite"
+        assert stats["experiments"]["e07_trapezoid"]["entries"] == cells
